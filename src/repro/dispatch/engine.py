@@ -45,16 +45,37 @@ pipeline (``sparse="auto"|"always"|"never"``) replaces that with:
 1. **index** — bin the idle drivers into a
    :class:`~repro.dispatch.spatial.GridBucketIndex` (the paper's grid cell
    geometry reused as a spatial index);
-2. **prune** — per order, gather only the drivers inside the feasibility
-   radius box and apply the dense path's bit-identical feasibility
-   arithmetic to them;
+2. **prune** — cut each alive order to its tie-inclusive ``K`` cheapest
+   feasible drivers, ``K`` = the batch's alive-order count, in two gather
+   passes and one cut:
+
+   a. a count-only box query
+      (:meth:`~repro.dispatch.spatial.GridBucketIndex.count_in_boxes`)
+      shrinks the gather radius to ``rho`` wherever the full box holds more
+      than ``PRUNE_BOX_FACTOR * K`` drivers; the drivers boxed at ``rho``
+      go through the dense path's bit-identical feasibility arithmetic;
+   b. an order with fewer than ``K`` feasible drivers within ``rho``
+      re-gathers at its full radius.  Every other order already holds its
+      ``K`` cheapest: the box is a superset of the radius-``rho`` disc, so
+      every driver at ``d <= rho`` was tested, and feasibility
+      ``(d / speed) * 60 + wait <= limit`` is monotone in ``d``, so no
+      untested driver (all at ``d > rho``) undercuts the ``K`` feasible
+      ones within ``rho``;
+   c. each order keeps every edge no dearer than its ``K``-th cheapest.
+      This is the exchange argument: with ``K`` orders in the batch, a
+      matching can always swap an order matched outside its ``K`` cheapest
+      onto a free cheaper driver, and the greedy scan can never be pushed
+      past ``K - 1`` taken drivers.  Greedy output is therefore
+      bit-identical; Hungarian/LS objectives are preserved, up to the tie
+      caveat documented in :mod:`repro.dispatch.matching`;
 3. **decompose** — split the pruned feasibility graph into connected
    components (:func:`~repro.dispatch.matching.edge_components`, canonical
    ordering documented there);
-4. **solve** — run the policy's ``match_pairs`` kernel on each small block
-   and merge the pairs back into the dense kernel's emission order
-   (``policy.match_order``: ``"row"`` for the assignment solvers, ``"cost"``
-   for the greedy scan).
+4. **solve** — every one-order star in one segmented pass
+   (``policy.match_single_orders``), every other block through the
+   policy's ``match_pairs`` kernel, and merge the pairs back into the dense
+   kernel's emission order (``policy.match_order``: ``"row"`` for the
+   assignment solvers, ``"cost"`` for the greedy scan).
 
 The per-batch cost drops from O(N*M) to output-sensitive near-linear work.
 ``"auto"`` switches the sparse path on once ``pending * idle`` crosses
@@ -89,7 +110,7 @@ from repro.dispatch.entities import (
     OrderArrays,
     online_mask,
 )
-from repro.dispatch.matching import edge_components
+from repro.dispatch.matching import edge_components, k_cheapest_mask
 from repro.dispatch.spatial import GridBucketIndex
 from repro.dispatch.travel import TravelModel
 
@@ -121,6 +142,13 @@ SPARSE_AUTO_THRESHOLD = 16384
 
 #: Accepted values of the ``sparse`` engine mode.
 SPARSE_MODES = ("auto", "always", "never")
+
+#: First-pass gather target of the sparse prune: an order whose full-radius
+#: box holds more than ``PRUNE_BOX_FACTOR * K`` idle drivers (``K`` = the
+#: batch's alive orders) is gathered at the radius whose box area, at the
+#: box's mean density, holds about that many.  The factor only trades gather
+#: size against full-radius re-gathers; the result is exact for any value.
+PRUNE_BOX_FACTOR = 4
 
 
 class ArrayPolicy(Protocol):
@@ -424,70 +452,45 @@ class VectorizedAssignmentEngine:
         """
         travel = self.travel
         speed = travel.speed_kmh
+        n_orders = int(alive_x.size)
         empty = np.empty(0, dtype=np.intp)
         index = GridBucketIndex(
             idle_x, idle_y, travel, resolution=self.sparse_resolution
         )
-        # Max feasible pickup distance from each order's remaining wait
-        # tolerance: pickup_minutes + wait <= limit <=> km <= slack / 60 *
-        # speed.  The box query is conservative (one-cell safety ring), and
-        # the exact dense-path feasibility test below decides membership, so
-        # float rounding of the radius cannot change results.
-        radii_km = (alive_limits - alive_waits) * speed / 60.0
-        flat_rows, flat_cols = index.candidates_in_boxes(alive_x, alive_y, radii_km)
-        if flat_rows.size == 0:
-            return empty, empty.copy(), np.empty(0, dtype=float)
-        # One flattened pass over every (order, candidate) pair: the
-        # elementwise distance (bit-identical to the dense path's
-        # pairwise_km entries — the sign-flipped delta vanishes under
-        # abs/square) followed by the dense path's exact feasibility
-        # arithmetic, (d / speed) * 60 + wait <= limit.
-        distance = travel.distance_km(
-            alive_x[flat_rows], alive_y[flat_rows], idle_x[flat_cols], idle_y[flat_cols]
+        edge_rows, edge_cols, edge_km = self._pruned_edges(
+            index, alive_x, alive_y, alive_waits, alive_limits, idle_x, idle_y
         )
-        scratch = distance / speed
-        scratch *= 60.0
-        scratch += alive_waits[flat_rows]
-        keep = scratch <= alive_limits[flat_rows]
-        edge_rows = flat_rows[keep]
-        edge_cols = flat_cols[keep]
-        edge_km = distance[keep]
         if edge_rows.size == 0:
             return empty, empty.copy(), np.empty(0, dtype=float)
-        components = edge_components(
-            edge_rows, edge_cols, int(alive_x.size), int(idle_x.size)
-        )
-        # edge_rows is non-decreasing (candidates were gathered per ascending
-        # order), so each order's edges are one slice.
-        row_starts = edge_rows.searchsorted(
-            np.arange(int(alive_x.size) + 1, dtype=np.intp)
-        )
-        single_order = getattr(self.policy, "match_single_order", None)
+        components = edge_components(edge_rows, edge_cols, n_orders, int(idle_x.size))
+        single_orders = getattr(self.policy, "match_single_orders", None)
         single_driver = getattr(self.policy, "match_single_driver", None)
         out_rows: List[np.ndarray] = []
         out_cols: List[np.ndarray] = []
         out_km: List[np.ndarray] = []
+        if single_orders is not None:
+            # Star components (one order) hold exactly that order's edges,
+            # so their block solves collapse to the policy's single-row rule,
+            # applied to every star at once over its (row-grouped) edges.
+            star_rows = np.array(
+                [rows[0] for rows, _ in components if rows.size == 1], dtype=np.intp
+            )
+            if star_rows.size:
+                is_star = np.zeros(n_orders, dtype=bool)
+                is_star[star_rows] = True
+                star_edge = is_star[edge_rows]
+                star_cols = edge_cols[star_edge]
+                star_km = edge_km[star_edge]
+                counts = np.bincount(edge_rows[star_edge], minlength=n_orders)[star_rows]
+                chosen = single_orders(
+                    star_km, star_cols, np.cumsum(counts) - counts, alive_revenue[star_rows]
+                )
+                hit = chosen >= 0
+                out_rows.append(star_rows[hit])
+                out_cols.append(star_cols[chosen[hit]])
+                out_km.append(star_km[chosen[hit]])
         for rows, cols in components:
-            if rows.size == 1 and single_order is not None:
-                # Star component (one order): its columns are exactly its
-                # feasible edges, so the block solve collapses to the
-                # policy's single-row rule.  The edge slice is in cell-major
-                # candidate order; the canonical block has ascending columns,
-                # so sort this (small) slice to keep the first-occurrence
-                # tie-break identical to the dense kernels'.
-                row = int(rows[0])
-                lo, hi = int(row_starts[row]), int(row_starts[row + 1])
-                row_cols = edge_cols[lo:hi]
-                row_km = edge_km[lo:hi]
-                col_order = np.argsort(row_cols, kind="stable")
-                row_cols = row_cols[col_order]
-                row_km = row_km[col_order]
-                local = single_order(row_km, float(alive_revenue[row]))
-                if local < 0:
-                    continue
-                out_rows.append(rows)
-                out_cols.append(row_cols[local : local + 1])
-                out_km.append(row_km[local : local + 1])
+            if rows.size == 1 and single_orders is not None:
                 continue
             if cols.size == 1 and single_driver is not None:
                 # Star component (one driver): every row is feasible for it.
@@ -503,31 +506,6 @@ class VectorizedAssignmentEngine:
                 out_cols.append(cols)
                 out_km.append(col_km[local : local + 1])
                 continue
-            if cols.size > 4 * rows.size:
-                # Column reduction: with k rows in a block, a matching only
-                # ever uses each row's k cheapest feasible columns (exchange
-                # argument: a row matched outside its k cheapest always has an
-                # unassigned cheaper column to swap to; the greedy scan can
-                # likewise never be pushed past k-1 taken columns).  The
-                # threshold is tie-inclusive — every column tied with the k-th
-                # cheapest is kept — so the reduced block sees the identical
-                # candidate prefix as the full block in all tie-break orders.
-                # "Cheapest" is smallest pickup distance for both objectives
-                # (LS's net-revenue weight is revenue minus a non-negative
-                # multiple of distance, monotone per row), and the per-row
-                # distances are already in the edge arrays.  This caps a
-                # hotspot mega-block at ~k x k^2 instead of k x fleet.
-                k = rows.size
-                kept: List[np.ndarray] = []
-                for row in rows.tolist():
-                    lo, hi = int(row_starts[row]), int(row_starts[row + 1])
-                    row_km = edge_km[lo:hi]
-                    if row_km.size > k:
-                        kth = np.partition(row_km, k - 1)[k - 1]
-                        kept.append(edge_cols[lo:hi][row_km <= kth])
-                    else:
-                        kept.append(edge_cols[lo:hi])
-                cols = np.unique(np.concatenate(kept))
             sub_distance = travel.pairwise_km(
                 alive_x[rows], alive_y[rows], idle_x[cols], idle_y[cols]
             )
@@ -557,6 +535,96 @@ class VectorizedAssignmentEngine:
         else:
             order = np.argsort(rows, kind="stable")
         return rows[order], cols[order], pair_km[order]
+
+    def _pruned_edges(
+        self,
+        index: GridBucketIndex,
+        alive_x: np.ndarray,
+        alive_y: np.ndarray,
+        alive_waits: np.ndarray,
+        alive_limits: np.ndarray,
+        idle_x: np.ndarray,
+        idle_y: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each order's tie-inclusive ``K`` cheapest feasible drivers.
+
+        ``K`` is the batch's alive-order count.  Returns ``(rows, cols, km)``
+        grouped by ascending row.  Both gather passes and the cut are exact
+        (see the module docstring's *prune* stage): the edge set equals
+        cutting the full-radius feasible edges to ``K`` per row.
+        """
+        n_orders = int(alive_x.size)
+        k = n_orders
+        # Max feasible pickup distance from each order's remaining wait
+        # tolerance: pickup_minutes + wait <= limit <=> km <= slack / 60 *
+        # speed.  Float rounding of the radius cannot change results: the
+        # gather is a superset and the exact feasibility test decides.
+        radii_km = (alive_limits - alive_waits) * self.travel.speed_kmh / 60.0
+        # Pass 1 radius rho: box counts grow with the box area, so scaling
+        # the radius by sqrt(target / count) aims each crowded box at the
+        # target count; an order already under it keeps its full radius.
+        boxed = index.count_in_boxes(alive_x, alive_y, radii_km)
+        target = PRUNE_BOX_FACTOR * k
+        rho = radii_km * np.sqrt(np.minimum(target / np.maximum(boxed, 1), 1.0))
+        rows, cols, km = self._feasible_edges(
+            index, alive_x, alive_y, alive_waits, alive_limits, idle_x, idle_y, rho
+        )
+        # Pass 2: an order whose K cheapest are not all provably inside its
+        # shrunken radius re-gathers at the full one.
+        within_rho = np.bincount(rows[km <= rho[rows]], minlength=n_orders)
+        redo = np.flatnonzero((rho < radii_km) & (within_rho < k))
+        if redo.size:
+            kept = np.ones(n_orders, dtype=bool)
+            kept[redo] = False
+            kept = kept[rows]
+            redo_rows, redo_cols, redo_km = self._feasible_edges(
+                index,
+                alive_x[redo],
+                alive_y[redo],
+                alive_waits[redo],
+                alive_limits[redo],
+                idle_x,
+                idle_y,
+                radii_km[redo],
+            )
+            # Two ascending runs: the stable merge back into row groups is
+            # linear.
+            rows = np.concatenate([rows[kept], redo[redo_rows]])
+            order = np.argsort(rows, kind="stable")
+            rows = rows[order]
+            cols = np.concatenate([cols[kept], redo_cols])[order]
+            km = np.concatenate([km[kept], redo_km])[order]
+        keep = k_cheapest_mask(rows, km, n_orders, k)
+        return rows[keep], cols[keep], km[keep]
+
+    def _feasible_edges(
+        self,
+        index: GridBucketIndex,
+        order_x: np.ndarray,
+        order_y: np.ndarray,
+        waits: np.ndarray,
+        limits: np.ndarray,
+        idle_x: np.ndarray,
+        idle_y: np.ndarray,
+        radii_km: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feasible ``(rows, cols, km)`` among the drivers boxed at ``radii_km``.
+
+        One flattened pass over every (order, candidate) pair: the
+        elementwise distance (bit-identical to the dense path's pairwise_km
+        entries — the sign-flipped delta vanishes under abs/square) followed
+        by the dense path's exact feasibility arithmetic,
+        ``(d / speed) * 60 + wait <= limit``.  Rows come back grouped by
+        ascending order index.
+        """
+        travel = self.travel
+        rows, cols = index.candidates_in_boxes(order_x, order_y, radii_km)
+        distance = travel.distance_km(order_x[rows], order_y[rows], idle_x[cols], idle_y[cols])
+        scratch = distance / travel.speed_kmh
+        scratch *= 60.0
+        scratch += waits[rows]
+        keep = scratch <= limits[rows]
+        return rows[keep], cols[keep], distance[keep]
 
 
 class _SlotRun:

@@ -19,7 +19,11 @@ import numpy as np
 
 from repro.dispatch.entities import Driver, FleetArrays, Order
 from repro.dispatch.kernels import cell_supply, move_drivers
-from repro.dispatch.matching import max_weight_pairs, maximum_weight_matching
+from repro.dispatch.matching import (
+    max_weight_pairs,
+    maximum_weight_matching,
+    segmented_argbest,
+)
 from repro.dispatch.travel import TravelModel
 
 
@@ -217,6 +221,25 @@ class LSDispatcher:
         if weight[best] < 0.0:
             return -1
         return best
+
+    def match_single_orders(
+        self,
+        distance: np.ndarray,
+        cols: np.ndarray,
+        starts: np.ndarray,
+        revenue: np.ndarray,
+    ) -> np.ndarray:
+        """Batched :meth:`match_single_order` over many one-order stars.
+
+        ``distance``/``cols`` hold the stars' edges back to back, star ``i``
+        starting at ``starts[i]`` with revenue ``revenue[i]``.  Returns, per
+        star, the index of its chosen edge — maximum net revenue, exact ties
+        to the smallest column — or ``-1`` below the profitability floor.
+        """
+        lengths = np.diff(np.append(starts, distance.size))
+        weight = np.repeat(revenue, lengths) - self.pickup_cost_per_km * distance
+        best = segmented_argbest(weight, cols, starts, largest=True)
+        return np.where(weight[best] < 0.0, -1, best)
 
     def match_single_driver(self, distance: np.ndarray, revenue: np.ndarray) -> int:
         """Star-component fast path: best order for one driver, or ``-1``."""

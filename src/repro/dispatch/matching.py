@@ -345,6 +345,65 @@ def _group_by_component(
     return groups
 
 
+def k_cheapest_mask(
+    edge_rows: np.ndarray, cost: np.ndarray, n_rows: int, k: int
+) -> np.ndarray:
+    """Mask of the edges inside each row's tie-inclusive ``k`` cheapest.
+
+    ``edge_rows`` must hold one contiguous run per row, rows ascending.  An
+    edge survives iff its cost is no greater than its row's ``k``-th
+    smallest, so a row with at most ``k`` edges keeps all of them and every
+    edge tied with the ``k``-th survives.
+
+    With ``k`` at least the number of rows, the cut is exact for the
+    matchers above (the exchange argument): a row matched outside its ``k``
+    cheapest always has a cheaper column left free by the other ``k - 1``
+    rows to swap to, so the optimum of :func:`min_cost_pairs` /
+    :func:`max_weight_pairs` (whose weight falls as cost rises) is
+    unchanged, and the stable greedy scan reaches a free column within each
+    row's ``k`` cheapest before any dearer edge, so its output is
+    identical.  The k-th costs of all over-full rows come from one
+    partition of a padded ``(rows, longest row)`` matrix.
+    """
+    counts = np.bincount(edge_rows, minlength=n_rows)
+    over = counts > k
+    if not over.any():
+        return np.ones(edge_rows.size, dtype=bool)
+    in_over = over[edge_rows]
+    grid = np.full((int(over.sum()), int(counts.max())), np.inf)
+    grid_row = (np.cumsum(over) - 1)[edge_rows[in_over]]
+    position = np.arange(edge_rows.size) - (np.cumsum(counts) - counts)[edge_rows]
+    grid[grid_row, position[in_over]] = cost[in_over]
+    kth = np.full(n_rows, np.inf)
+    kth[over] = np.partition(grid, k - 1, axis=1)[:, k - 1]
+    return cost <= kth[edge_rows]
+
+
+def segmented_argbest(
+    values: np.ndarray,
+    cols: np.ndarray,
+    starts: np.ndarray,
+    largest: bool = False,
+) -> np.ndarray:
+    """Index of each segment's best entry, exact ties to the smallest column.
+
+    Segment ``i`` is ``values[starts[i]:starts[i + 1]]`` (the last one runs
+    to the end of the array); every segment must be non-empty and hold each
+    column at most once.  "Best" is the minimum value, or the maximum with
+    ``largest=True``.  Among exactly tied entries the smallest ``cols`` entry
+    wins — the first-occurrence tie-break of ``argmin``/``argmax`` on a row
+    with ascending columns, and of :func:`linear_sum_assignment` on a
+    one-row block — whatever order the segment lists its columns in.
+    Returns one ascending index into ``values`` per segment.
+    """
+    lengths = np.diff(np.append(starts, values.size))
+    reduce = np.maximum if largest else np.minimum
+    best = np.repeat(reduce.reduceat(values, starts), lengths)
+    tied_cols = np.where(values == best, cols, np.iinfo(np.intp).max)
+    best_col = np.repeat(np.minimum.reduceat(tied_cols, starts), lengths)
+    return np.flatnonzero(tied_cols == best_col)
+
+
 def merge_pairs_by_row(
     rows: np.ndarray, cols: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:

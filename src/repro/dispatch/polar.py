@@ -27,6 +27,7 @@ from repro.dispatch.matching import (
     greedy_pairs_masked,
     min_cost_pairs,
     optimal_matching,
+    segmented_argbest,
 )
 from repro.dispatch.travel import TravelModel
 
@@ -235,6 +236,24 @@ class POLARDispatcher:
         if distance[best] > self.max_reposition_km * 10:
             return -1
         return best
+
+    def match_single_orders(
+        self,
+        distance: np.ndarray,
+        cols: np.ndarray,
+        starts: np.ndarray,
+        revenue: np.ndarray,
+    ) -> np.ndarray:
+        """Batched :meth:`match_single_order` over many one-order stars.
+
+        ``distance``/``cols`` hold the stars' edges back to back, star ``i``
+        starting at ``starts[i]``; ``revenue`` has one entry per star (unused
+        by the served-orders objective).  Returns, per star, the index of its
+        chosen edge — minimum distance, exact ties to the smallest column —
+        or ``-1`` beyond the cost cut-off.
+        """
+        best = segmented_argbest(distance, cols, starts)
+        return np.where(distance[best] > self.max_reposition_km * 10, -1, best)
 
     def match_single_driver(self, distance: np.ndarray, revenue: np.ndarray) -> int:
         """Star-component fast path: best order for one driver, or ``-1``."""

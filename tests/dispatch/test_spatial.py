@@ -138,4 +138,5 @@ class TestValidation:
         assert default_resolution(0) == 1
         assert default_resolution(1) == 1
         assert default_resolution(2000) == int(np.sqrt(1000))
-        assert default_resolution(10**9) == 96  # clamped
+        assert default_resolution(40000) == int(np.sqrt(20000))
+        assert default_resolution(10**9) == 255  # clamped at the uint16 cell-id limit
