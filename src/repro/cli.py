@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.tuner import GridTuner
 from repro.data.dataset import EventDataset
@@ -147,11 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subparsers.add_parser(
         "sweep", help="parallel OGSS sweep across city presets with result caching"
     )
-    sweep.add_argument(
-        "--preset",
-        default="nyc,chengdu,xian",
-        help="comma-separated city presets; short aliases allowed (default: nyc,chengdu,xian)",
-    )
+    _add_suite_arguments(sweep, "nyc,chengdu,xian", "dataset/budget", processes=False)
     sweep.add_argument(
         "--models",
         default="historical_average",
@@ -170,33 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="iterative",
         help="OGSS search algorithm (default: iterative)",
     )
-    sweep.add_argument(
-        "--profile",
-        choices=("tiny", "small", "paper"),
-        default="tiny",
-        help="experiment scale profile for dataset/budget (default: tiny)",
-    )
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads (default: min(tasks, CPU count))",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        default=".gridtuner_cache",
-        help="persistent result-cache directory; 'none' disables caching",
-    )
 
     dispatch = subparsers.add_parser(
         "dispatch",
         help="parallel dispatch scenario suite (city x policy x fleet x demand x seed)",
     )
-    dispatch.add_argument(
-        "--preset",
-        default="nyc",
-        help="comma-separated city presets; short aliases allowed (default: nyc)",
-    )
+    _add_suite_arguments(dispatch, "nyc", "dataset/slots", processes=True)
     dispatch.add_argument(
         "--policies",
         default="polar,ls",
@@ -224,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="random seeds to sweep (default: 7)",
     )
     dispatch.add_argument(
-        "--profile",
-        choices=("tiny", "small", "paper"),
-        default="tiny",
-        help="experiment scale profile for dataset/slots (default: tiny)",
-    )
-    dispatch.add_argument(
         "--engine",
         choices=("vector", "scalar"),
         default="vector",
@@ -250,21 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
             "on large batches (auto, default), forced (always) or the dense "
             "candidate matrix (never); metrics are identical in every mode"
         ),
-    )
-    dispatch.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "worker pool backend; 'process' sidesteps the GIL on "
-            "matching-heavy scenario suites (default: thread)"
-        ),
-    )
-    dispatch.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads/processes (default: min(scenarios, CPU count))",
     )
     dispatch.add_argument(
         "--guidance",
@@ -322,21 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
             "and counted in the cancelled metric (default: 10)"
         ),
     )
-    dispatch.add_argument(
-        "--cache-dir",
-        default=".gridtuner_cache",
-        help="persistent result-cache directory; 'none' disables caching",
-    )
 
     predict = subparsers.add_parser(
         "predict",
         help="parallel predictor-training suite (city x model x resolution x seed)",
     )
-    predict.add_argument(
-        "--preset",
-        default="nyc",
-        help="comma-separated city presets; short aliases allowed (default: nyc)",
-    )
+    _add_suite_arguments(predict, "nyc", "dataset size", processes=True)
     predict.add_argument(
         "--models",
         default="historical_average,mlp",
@@ -360,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="random seeds to sweep (default: 7)",
     )
     predict.add_argument(
-        "--profile",
-        choices=("tiny", "small", "paper"),
-        default="tiny",
-        help="experiment scale profile for dataset size (default: tiny)",
-    )
-    predict.add_argument(
         "--epochs",
         type=int,
         default=None,
@@ -376,23 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the training-sample cap for the neural models",
-    )
-    predict.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool backend (default: thread)",
-    )
-    predict.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads/processes (default: min(scenarios, CPU count))",
-    )
-    predict.add_argument(
-        "--cache-dir",
-        default=".gridtuner_cache",
-        help="persistent result-cache directory; 'none' disables caching",
     )
 
     fuzz = subparsers.add_parser(
@@ -660,6 +582,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_suite_arguments(
+    parser: argparse.ArgumentParser, preset: str, profile_scales: str, processes: bool
+) -> None:
+    """The arguments every cached suite (sweep, dispatch, predict) takes.
+
+    ``processes`` adds ``--executor``: the sweep runs on threads only.
+    """
+    parser.add_argument(
+        "--preset",
+        default=preset,
+        help=f"comma-separated city presets; short aliases allowed (default: {preset})",
+    )
+    parser.add_argument(
+        "--profile",
+        choices=("tiny", "small", "paper"),
+        default="tiny",
+        help=f"experiment scale profile for {profile_scales} (default: tiny)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help=(
+            "worker threads/processes (default: min(scenarios, CPU count))"
+            if processes
+            else "worker threads (default: min(tasks, CPU count))"
+        ),
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=".gridtuner_cache",
+        help="persistent result-cache directory; 'none' disables caching",
+    )
+    if processes:
+        parser.add_argument(
+            "--executor",
+            choices=("thread", "process"),
+            default="thread",
+            help=(
+                "worker pool backend; 'process' sidesteps the GIL on "
+                "matching- or training-heavy suites (default: thread)"
+            ),
+        )
+
+
 def _add_service_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--preset",
@@ -865,199 +832,133 @@ def _command_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_sweep(args: argparse.Namespace) -> int:
-    cities = [resolve_city(name.strip()) for name in args.preset.split(",") if name.strip()]
-    models = [name.strip() for name in args.models.split(",") if name.strip()]
+def _csv(text: str) -> List[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _run_suite(
+    args: argparse.Namespace,
+    run: Callable[..., Any],
+    noun: str,
+    title: str,
+    columns: Dict[str, Callable[[Any], Any]],
+    **kwargs: Any,
+) -> int:
+    """Run one cached suite; print its table (``columns`` + seconds/cache) and footer."""
     cache_dir = None if args.cache_dir.lower() == "none" else args.cache_dir
     try:
-        report = run_city_sweep(
-            cities=cities,
-            models=models,
-            slots=args.slots,
-            algorithm=args.algorithm,
-            profile=args.profile,
-            cache_dir=cache_dir,
-            max_workers=args.workers,
+        report = run(
+            profile=args.profile, cache_dir=cache_dir, max_workers=args.workers, **kwargs
         )
     except (ValueError, OSError) as exc:
         # OSError covers unusable cache directories (e.g. the path exists
         # as a regular file) surfacing from ResultCache.
-        print(f"repro sweep: {exc}", file=sys.stderr)
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
     rows = [
-        [
-            o.task.city,
-            o.task.model,
-            o.task.slot,
-            f"{o.result.best_side}x{o.result.best_side}",
-            round(o.upper_bound, 2),
-            o.result.evaluations,
-            round(o.seconds, 3),
-            "hit" if o.from_cache else "miss",
-        ]
+        [value(o) for value in columns.values()]
+        + [round(o.seconds, 3), "hit" if o.from_cache else "miss"]
         for o in report.outcomes
     ]
+    print(format_table([*columns, "seconds", "cache"], rows, title=title))
     print(
-        format_table(
-            ["city", "model", "slot", "grid", "upper bound", "evals", "seconds", "cache"],
-            rows,
-            title=f"OGSS sweep ({args.algorithm}, profile={args.profile})",
-        )
-    )
-    print(
-        f"{len(report.outcomes)} searches in {report.seconds:.2f}s "
+        f"{len(report.outcomes)} {noun} in {report.seconds:.2f}s "
         f"({report.cache_hits} cache hits, {report.cache_misses} misses)"
     )
     if cache_dir is not None:
         print(f"result cache: {cache_dir}")
     return 0
+
+
+def _command_sweep(args: argparse.Namespace) -> int:
+    columns = {
+        "city": lambda o: o.task.city,
+        "model": lambda o: o.task.model,
+        "slot": lambda o: o.task.slot,
+        "grid": lambda o: f"{o.result.best_side}x{o.result.best_side}",
+        "upper bound": lambda o: round(o.upper_bound, 2),
+        "evals": lambda o: o.result.evaluations,
+    }
+    return _run_suite(
+        args,
+        run_city_sweep,
+        "searches",
+        f"OGSS sweep ({args.algorithm}, profile={args.profile})",
+        columns,
+        cities=[resolve_city(name) for name in _csv(args.preset)],
+        models=_csv(args.models),
+        slots=args.slots,
+        algorithm=args.algorithm,
+    )
 
 
 def _command_dispatch(args: argparse.Namespace) -> int:
-    cities = [name.strip() for name in args.preset.split(",") if name.strip()]
-    policies = [name.strip() for name in args.policies.split(",") if name.strip()]
-    cache_dir = None if args.cache_dir.lower() == "none" else args.cache_dir
-    try:
-        report = run_dispatch_suite(
-            cities=cities,
-            policies=policies,
-            fleet_sizes=args.fleet_sizes,
-            demand_scales=args.demand_scales,
-            seeds=args.seeds,
-            profile=args.profile,
-            cache_dir=cache_dir,
-            max_workers=args.workers,
-            engine=args.engine,
-            matching=args.matching,
-            executor=args.executor,
-            sparse=args.sparse,
-            guidance=args.guidance,
-            scenario_family=args.scenario,
-            test_days=args.test_days,
-            fleet_profile=args.fleet_profile,
-            max_wait_minutes=args.max_wait,
-        )
-    except (ValueError, OSError) as exc:
-        # OSError covers unusable cache directories (e.g. the path exists
-        # as a regular file) surfacing from ResultCache.
-        print(f"repro dispatch: {exc}", file=sys.stderr)
-        return 2
-    rows = [
-        [
-            o.scenario.city,
-            o.scenario.policy,
-            o.scenario.fleet_size,
-            f"{o.scenario.demand_scale:g}x",
-            o.scenario.seed,
-            o.scenario.fleet_profile,
-            o.scenario.test_days,
-            o.metrics.served_orders,
-            o.metrics.cancelled_orders,
-            o.metrics.total_orders,
-            f"{100 * o.metrics.service_rate:.1f}%",
-            round(o.metrics.total_revenue, 1),
-            round(o.seconds, 3),
-            "hit" if o.from_cache else "miss",
-        ]
-        for o in report.outcomes
-    ]
-    print(
-        format_table(
-            [
-                "city",
-                "policy",
-                "fleet",
-                "demand",
-                "seed",
-                "roster",
-                "days",
-                "served",
-                "cancelled",
-                "orders",
-                "rate",
-                "revenue",
-                "seconds",
-                "cache",
-            ],
-            rows,
-            title=f"Dispatch scenario suite ({args.engine} engine, profile={args.profile})",
-        )
+    columns = {
+        "city": lambda o: o.scenario.city,
+        "policy": lambda o: o.scenario.policy,
+        "fleet": lambda o: o.scenario.fleet_size,
+        "demand": lambda o: f"{o.scenario.demand_scale:g}x",
+        "seed": lambda o: o.scenario.seed,
+        "roster": lambda o: o.scenario.fleet_profile,
+        "days": lambda o: o.scenario.test_days,
+        "served": lambda o: o.metrics.served_orders,
+        "cancelled": lambda o: o.metrics.cancelled_orders,
+        "orders": lambda o: o.metrics.total_orders,
+        "rate": lambda o: f"{100 * o.metrics.service_rate:.1f}%",
+        "revenue": lambda o: round(o.metrics.total_revenue, 1),
+    }
+    return _run_suite(
+        args,
+        run_dispatch_suite,
+        "scenarios",
+        f"Dispatch scenario suite ({args.engine} engine, profile={args.profile})",
+        columns,
+        cities=_csv(args.preset),
+        policies=_csv(args.policies),
+        fleet_sizes=args.fleet_sizes,
+        demand_scales=args.demand_scales,
+        seeds=args.seeds,
+        engine=args.engine,
+        matching=args.matching,
+        executor=args.executor,
+        sparse=args.sparse,
+        guidance=args.guidance,
+        scenario_family=args.scenario,
+        test_days=args.test_days,
+        fleet_profile=args.fleet_profile,
+        max_wait_minutes=args.max_wait,
     )
-    print(
-        f"{len(report.outcomes)} scenarios in {report.seconds:.2f}s "
-        f"({report.cache_hits} cache hits, {report.cache_misses} misses)"
-    )
-    if cache_dir is not None:
-        print(f"result cache: {cache_dir}")
-    return 0
 
 
 def _command_predict(args: argparse.Namespace) -> int:
-    cities = [name.strip() for name in args.preset.split(",") if name.strip()]
-    models = [name.strip() for name in args.models.split(",") if name.strip()]
-    cache_dir = None if args.cache_dir.lower() == "none" else args.cache_dir
     hyper = []
     if args.epochs is not None:
         hyper.append(("epochs", args.epochs))
     if args.max_train_samples is not None:
         hyper.append(("max_train_samples", args.max_train_samples))
-    try:
-        report = run_prediction_suite(
-            cities=cities,
-            models=models,
-            resolutions=args.resolutions,
-            seeds=args.seeds,
-            profile=args.profile,
-            cache_dir=cache_dir,
-            max_workers=args.workers,
-            executor=args.executor,
-            hyper=tuple(hyper),
-        )
-    except (ValueError, OSError) as exc:
-        # OSError covers unusable cache directories (e.g. the path exists
-        # as a regular file) surfacing from ResultCache.
-        print(f"repro predict: {exc}", file=sys.stderr)
-        return 2
-    rows = [
-        [
-            o.scenario.city,
-            o.scenario.model,
-            f"{o.scenario.resolution}x{o.scenario.resolution}",
-            o.scenario.seed,
-            round(o.mae, 3),
-            round(o.rmse, 3),
-            o.epochs_run,
-            "-" if o.best_epoch is None else o.best_epoch + 1,
-            round(o.seconds, 3),
-            "hit" if o.from_cache else "miss",
-        ]
-        for o in report.outcomes
-    ]
-    print(
-        format_table(
-            [
-                "city",
-                "model",
-                "grid",
-                "seed",
-                "mae",
-                "rmse",
-                "epochs",
-                "best",
-                "seconds",
-                "cache",
-            ],
-            rows,
-            title=f"Predictor suite ({args.executor} executor, profile={args.profile})",
-        )
+    columns = {
+        "city": lambda o: o.scenario.city,
+        "model": lambda o: o.scenario.model,
+        "grid": lambda o: f"{o.scenario.resolution}x{o.scenario.resolution}",
+        "seed": lambda o: o.scenario.seed,
+        "mae": lambda o: round(o.mae, 3),
+        "rmse": lambda o: round(o.rmse, 3),
+        "epochs": lambda o: o.epochs_run,
+        "best": lambda o: "-" if o.best_epoch is None else o.best_epoch + 1,
+    }
+    return _run_suite(
+        args,
+        run_prediction_suite,
+        "predictors",
+        f"Predictor suite ({args.executor} executor, profile={args.profile})",
+        columns,
+        cities=_csv(args.preset),
+        models=_csv(args.models),
+        resolutions=args.resolutions,
+        seeds=args.seeds,
+        executor=args.executor,
+        hyper=tuple(hyper),
     )
-    print(
-        f"{len(report.outcomes)} predictors in {report.seconds:.2f}s "
-        f"({report.cache_hits} cache hits, {report.cache_misses} misses)"
-    )
-    if cache_dir is not None:
-        print(f"result cache: {cache_dir}")
-    return 0
 
 
 def _replay_world(path: str, bug: Optional[str]) -> int:

@@ -1,19 +1,20 @@
-"""Parallel OGSS sweep subsystem: many (city, slot, model) searches at once.
+"""Cached, parallel suites: OGSS sweeps, dispatch scenarios, predictor trainings.
 
 The paper tunes one grid size for one city, one prediction model and one time
-slot at a time.  A production deployment needs the whole matrix — every city
-preset, every serving slot, every candidate model — re-tuned as data drifts.
-This package fans those searches out across worker threads and memoises the
-results in a persistent on-disk cache so repeated sweeps are nearly free.
+slot at a time, and judges its dispatch case study over a matrix of
+scenarios.  A production deployment re-runs those matrices as data drifts.
+Every suite here is a batch of independent, deterministic items run by one
+:class:`~repro.sweep.suite.CachedSuiteRunner`: it reads each item's
+:class:`~repro.utils.cache.ResultCache` entry once, builds each needed
+dataset once, fans the misses out over threads or processes and writes the
+cache from the calling thread, so a rerun replays byte-identically.
 
-* :class:`~repro.sweep.runner.SweepTask` — one (city, model, slot, algorithm)
-  combination plus the dataset parameters that define it.
-* :func:`~repro.sweep.runner.sweep_tasks` — cross-product task builder.
-* :class:`~repro.sweep.runner.SweepRunner` — executes tasks with
-  :mod:`concurrent.futures`, shares datasets and model-error caches between
-  tasks, and persists each :class:`~repro.core.search.SearchResult` through
-  :class:`~repro.utils.cache.ResultCache`.
-* :class:`~repro.sweep.runner.SweepReport` — the collected outcomes.
+* :mod:`repro.sweep.runner` — :class:`SweepRunner` over :class:`SweepTask`
+  (city x model x slot OGSS searches; :func:`sweep_tasks` builds the grid).
+* :mod:`repro.sweep.dispatch` — :class:`DispatchSuiteRunner` over
+  :class:`~repro.dispatch.scenarios.DispatchScenario` points.
+* :mod:`repro.sweep.prediction` — :class:`PredictionSuiteRunner` over
+  :class:`PredictorScenario` points (:func:`predictor_scenarios`).
 
 Example
 -------
@@ -25,9 +26,11 @@ Example
 >>> {(o.task.city, o.task.slot): o.result.best_side for o in report.outcomes}
 
 See ``examples/sweep_multi_city.py`` for a complete runnable script and the
-``repro sweep`` CLI subcommand for the command-line entry point.
+``repro sweep`` / ``repro dispatch`` / ``repro predict`` CLI subcommands for
+the command-line entry points.
 """
 
+from repro.sweep.suite import CachedSuiteReport, CachedSuiteRunner
 from repro.sweep.runner import (
     SingleFlightModelErrorCache,
     SweepOutcome,
@@ -51,6 +54,8 @@ from repro.sweep.prediction import (
 )
 
 __all__ = [
+    "CachedSuiteReport",
+    "CachedSuiteRunner",
     "SingleFlightModelErrorCache",
     "SweepOutcome",
     "SweepReport",

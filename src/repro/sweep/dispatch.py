@@ -1,18 +1,15 @@
-"""Parallel, cached dispatch-scenario suite runner.
+"""Dispatch-scenario suite: a :class:`~repro.sweep.suite.CachedSuiteRunner` task.
 
-The dispatch counterpart of :class:`~repro.sweep.runner.SweepRunner`: a suite
-is a batch of :class:`~repro.dispatch.scenarios.DispatchScenario` points
-(city x policy x fleet size x demand scale x seed), each simulated once by
-the vectorized engine.  The runner shares the two expensive resources the
-same way the OGSS sweep does:
-
-1. **Datasets** — each unique ``(city, scale, num_days, seed)`` synthetic
-   dataset is generated once and shared by every scenario that uses it.
-2. **Results** — finished simulations are persisted as canonical JSON through
-   :class:`~repro.utils.cache.ResultCache`.  Scenario simulations are fully
-   deterministic (see the draw-order notes in :mod:`repro.dispatch.engine`),
-   so a rerun with identical parameters is a byte-identical cache replay and
-   does no simulation work at all.
+A suite is a batch of :class:`~repro.dispatch.scenarios.DispatchScenario`
+points (city x policy x fleet size x demand scale x seed), each simulated
+once by the vectorized (or scalar) engine.  :class:`DispatchSuiteRunner`
+defines the task — cache key, payload, dataset builder and the
+:func:`_simulate_scenario` compute step — and inherits the cached fan-out.
+Scenario simulations are fully deterministic (see the draw-order notes in
+:mod:`repro.dispatch.engine`), so a rerun with identical parameters is a
+byte-identical cache replay that simulates nothing.  On the process backend
+misses are grouped per ``dataset_signature``: dataset generation is a large
+share of a scenario's cost, so each worker task generates one dataset.
 
 Example
 -------
@@ -26,10 +23,9 @@ Example
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.data.dataset import EventDataset
 from repro.dispatch.entities import DispatchMetrics
@@ -39,6 +35,7 @@ from repro.dispatch.scenarios import (
     build_scenario_dataset,
     scenario_grid,
 )
+from repro.sweep.suite import CachedSuiteReport, CachedSuiteRunner
 from repro.utils.cache import ResultCache
 from repro.utils.timer import wall_clock
 
@@ -60,25 +57,13 @@ class ScenarioOutcome:
     from_cache: bool
     engine: str
 
+    @property
+    def label(self) -> str:
+        return self.scenario.label
 
-@dataclass(frozen=True)
-class SuiteReport:
+
+class SuiteReport(CachedSuiteReport[ScenarioOutcome]):
     """All outcomes of one suite run plus aggregate bookkeeping."""
-
-    outcomes: Tuple[ScenarioOutcome, ...]
-    seconds: float
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.from_cache)
-
-    @property
-    def cache_misses(self) -> int:
-        return len(self.outcomes) - self.cache_hits
-
-    def by_label(self) -> Dict[str, ScenarioOutcome]:
-        """Mapping ``scenario label -> outcome``."""
-        return {outcome.scenario.label: outcome for outcome in self.outcomes}
 
 
 def _serialise(outcome: ScenarioOutcome) -> Dict[str, Any]:
@@ -116,39 +101,28 @@ def _deserialise(
     )
 
 
-def _simulate_scenario_group(
-    scenarios: Sequence[DispatchScenario], engine: str, sparse: str
-) -> List[ScenarioOutcome]:
-    """Process-pool worker: simulate scenarios sharing one dataset signature.
-
-    Module-level (picklable) on purpose.  The group shares a single generated
-    dataset, mirroring the thread backend's dataset sharing; outcomes come
-    back in group order and are cached by the parent process so cache writes
-    stay single-writer and byte-identical to a thread-backend run.
-    """
-    dataset = build_scenario_dataset(scenarios[0])
-    provider_cache: Dict[Tuple, Any] = {}
-    outcomes: List[ScenarioOutcome] = []
-    for scenario in scenarios:
-        scenario_start = wall_clock()
-        bundle = build_scenario_bundle(
-            scenario, dataset=dataset, provider_cache=provider_cache
-        )
-        metrics = bundle.run(engine=engine, sparse=sparse)
-        outcomes.append(
-            ScenarioOutcome(
-                scenario=scenario,
-                metrics=metrics,
-                total_orders=bundle.total_order_count,
-                seconds=wall_clock() - scenario_start,
-                from_cache=False,
-                engine=engine,
-            )
-        )
-    return outcomes
+def _simulate_scenario(
+    scenario: DispatchScenario,
+    dataset: EventDataset,
+    providers: Dict[Tuple, Any],
+    engine: str,
+    sparse: str,
+) -> ScenarioOutcome:
+    """Simulate one scenario; ``providers`` shares trained guidance models."""
+    scenario_start = wall_clock()
+    bundle = build_scenario_bundle(scenario, dataset=dataset, provider_cache=providers)
+    metrics = bundle.run(engine=engine, sparse=sparse)
+    return ScenarioOutcome(
+        scenario=scenario,
+        metrics=metrics,
+        total_orders=bundle.total_order_count,
+        seconds=wall_clock() - scenario_start,
+        from_cache=False,
+        engine=engine,
+    )
 
 
-class DispatchSuiteRunner:
+class DispatchSuiteRunner(CachedSuiteRunner[DispatchScenario, ScenarioOutcome]):
     """Run a batch of dispatch scenarios in parallel with persistent caching.
 
     Parameters
@@ -159,8 +133,9 @@ class DispatchSuiteRunner:
         Directory for the persistent :class:`~repro.utils.cache.ResultCache`;
         ``None`` disables on-disk caching (everything is recomputed).
     max_workers:
-        Worker-pool size; defaults to ``min(len(scenarios), cpu_count)`` for
-        threads and ``min(groups, cpu_count)`` for processes.
+        Worker-pool size, ``None`` or at least 1; defaults to
+        ``min(misses, cpu_count)`` for threads and ``min(groups, cpu_count)``
+        for processes.
     engine:
         ``"vector"`` (default) or ``"scalar"`` — which simulation engine runs
         cache misses.  Both produce identical metrics; the engine name is
@@ -181,6 +156,12 @@ class DispatchSuiteRunner:
         effect on metrics or cache keys.
     """
 
+    item_name = "scenario"
+    report_type = SuiteReport
+    serialise = staticmethod(_serialise)
+    deserialise = staticmethod(_deserialise)
+    build_dataset = staticmethod(build_scenario_dataset)
+
     def __init__(
         self,
         scenarios: Iterable[DispatchScenario],
@@ -190,87 +171,19 @@ class DispatchSuiteRunner:
         executor: str = "thread",
         sparse: str = "auto",
     ) -> None:
-        self.scenarios = list(scenarios)
-        if not self.scenarios:
-            raise ValueError("at least one scenario is required")
         if engine not in ("vector", "scalar"):
             raise ValueError("engine must be 'vector' or 'scalar'")
-        if executor not in ("thread", "process"):
-            raise ValueError("executor must be 'thread' or 'process'")
         if sparse not in ("auto", "always", "never"):
             raise ValueError("sparse must be 'auto', 'always' or 'never'")
-        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.max_workers = max_workers
+        super().__init__(scenarios, cache_dir=cache_dir, max_workers=max_workers, executor=executor)
         self.engine = engine
-        self.executor = executor
         self.sparse = sparse
-        self._datasets: Dict[Tuple, EventDataset] = {}
         # Demand-guidance providers shared across scenarios with equal
         # guidance_signature (one predictor training per signature, not per
         # scenario).  Dict reads/writes are GIL-atomic; a rare concurrent
         # double-train produces the identical (deterministic) provider.
+        # Process workers get a fresh copy per dataset group.
         self._providers: Dict[Tuple, Any] = {}
-
-    # ------------------------------------------------------------------ #
-
-    def run(self) -> SuiteReport:
-        """Simulate every scenario and return the collected report."""
-        start = wall_clock()
-        if self.executor == "process":
-            outcomes = self._run_process_pool()
-            return SuiteReport(
-                outcomes=tuple(outcomes), seconds=wall_clock() - start
-            )
-        self._prepare_datasets()
-        workers = self.max_workers or min(len(self.scenarios), os.cpu_count() or 1)
-        if workers <= 1:
-            outcomes = [self._run_scenario(s) for s in self.scenarios]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(self._run_scenario, self.scenarios))
-        return SuiteReport(outcomes=tuple(outcomes), seconds=wall_clock() - start)
-
-    def _run_process_pool(self) -> List[ScenarioOutcome]:
-        """Fan cache misses out to worker processes, grouped per dataset."""
-        slots: List[Optional[ScenarioOutcome]] = [None] * len(self.scenarios)
-        groups: Dict[Tuple, List[int]] = {}
-        for position, scenario in enumerate(self.scenarios):
-            if self.cache is not None:
-                payload = self.cache.get(self.cache_key(scenario))
-                if payload is not None:
-                    slots[position] = _deserialise(scenario, payload, seconds=0.0)
-                    continue
-            groups.setdefault(scenario.dataset_signature, []).append(position)
-        if groups:
-            workers = self.max_workers or min(len(groups), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    (
-                        positions,
-                        pool.submit(
-                            _simulate_scenario_group,
-                            [self.scenarios[p] for p in positions],
-                            self.engine,
-                            self.sparse,
-                        ),
-                    )
-                    for positions in groups.values()
-                ]
-                for positions, future in futures:
-                    for position, outcome in zip(positions, future.result()):
-                        slots[position] = outcome
-            # Single-writer cache updates, in scenario order, so the on-disk
-            # JSON bytes match a thread-backend run of the same suite.
-            if self.cache is not None:
-                for position in sorted(p for ps in groups.values() for p in ps):
-                    outcome = slots[position]
-                    assert outcome is not None
-                    self.cache.put(
-                        self.cache_key(outcome.scenario), _serialise(outcome)
-                    )
-        return [outcome for outcome in slots if outcome is not None]
-
-    # ------------------------------------------------------------------ #
 
     @staticmethod
     def cache_key(scenario: DispatchScenario) -> str:
@@ -279,52 +192,11 @@ class DispatchSuiteRunner:
             {"schema": _CACHE_SCHEMA, "scenario": scenario.cache_payload()}
         )
 
-    def _prepare_datasets(self) -> None:
-        """Build each unique dataset once, before the workers fan out.
-
-        Scenarios that only hit the cache never need their dataset, so only
-        signatures with at least one cache miss are generated.
-        """
-        for scenario in self.scenarios:
-            if scenario.dataset_signature in self._datasets:
-                continue
-            if self.cache is not None and self.cache_key(scenario) in self.cache:
-                continue
-            self._dataset_for(scenario)
-
-    def _dataset_for(self, scenario: DispatchScenario) -> EventDataset:
-        signature = scenario.dataset_signature
-        if signature not in self._datasets:
-            self._datasets[signature] = build_scenario_dataset(scenario)
-        return self._datasets[signature]
-
-    def _run_scenario(self, scenario: DispatchScenario) -> ScenarioOutcome:
-        scenario_start = wall_clock()
-        key = None
-        if self.cache is not None:
-            key = self.cache_key(scenario)
-            payload = self.cache.get(key)
-            if payload is not None:
-                return _deserialise(
-                    scenario, payload, seconds=wall_clock() - scenario_start
-                )
-        bundle = build_scenario_bundle(
-            scenario,
-            dataset=self._dataset_for(scenario),
-            provider_cache=self._providers,
+    @property
+    def compute(self) -> partial:
+        return partial(
+            _simulate_scenario, providers=self._providers, engine=self.engine, sparse=self.sparse
         )
-        metrics = bundle.run(engine=self.engine, sparse=self.sparse)
-        outcome = ScenarioOutcome(
-            scenario=scenario,
-            metrics=metrics,
-            total_orders=bundle.total_order_count,
-            seconds=wall_clock() - scenario_start,
-            from_cache=False,
-            engine=self.engine,
-        )
-        if self.cache is not None and key is not None:
-            self.cache.put(key, _serialise(outcome))
-        return outcome
 
 
 def suite_scenarios(

@@ -1,24 +1,17 @@
-"""Parallel, cached predictor-sweep runner.
+"""Predictor-training suite: a :class:`~repro.sweep.suite.CachedSuiteRunner` task.
 
-The prediction counterpart of :class:`~repro.sweep.dispatch.DispatchSuiteRunner`:
-a suite is a batch of :class:`PredictorScenario` points
+A suite is a batch of :class:`PredictorScenario` points
 (city x model x resolution x seed), each of which trains one demand predictor
-on its synthetic city and evaluates it on the held-out test day.  The runner
-shares the two expensive resources the same way the dispatch suite does:
-
-1. **Datasets** — each unique ``(city, scale, num_days, seed)`` synthetic
-   dataset is generated once and shared by every scenario that uses it.
-2. **Results** — finished evaluations are persisted as canonical JSON through
-   :class:`~repro.utils.cache.ResultCache`.  Training is fully deterministic
-   (split random streams per purpose, see
-   :class:`~repro.prediction.base.NeuralDemandPredictor`), so a rerun with
-   identical parameters is a byte-identical cache replay and trains nothing.
-
-Both a ``ThreadPoolExecutor`` and a ``ProcessPoolExecutor`` backend are
-available; training is NumPy-bound and releases the GIL for its heavy
-lifting, but suites dominated by many small models still benefit from
-process-level parallelism.  Cache lookups and writes always stay in the
-parent process, so both backends produce identical cached JSON bytes.
+on its synthetic city and evaluates it on the held-out test day.
+:class:`PredictionSuiteRunner` defines the task — cache key, payload, dataset
+builder and :func:`evaluate_predictor_scenario` — and inherits the cached
+fan-out.  Training is fully deterministic (split random streams per purpose,
+see :class:`~repro.prediction.base.NeuralDemandPredictor`), so a rerun with
+identical parameters is a byte-identical cache replay and trains nothing.
+Training is NumPy-bound and releases the GIL for its heavy lifting, but
+suites dominated by many small models still benefit from the process
+backend, which fans misses out one task per scenario (``group_key`` is the
+scenario itself) and relies on the per-worker dataset memo.
 
 Example
 -------
@@ -32,8 +25,6 @@ Example
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -47,6 +38,7 @@ from repro.prediction.registry import (
     create_seeded_model,
     filter_model_kwargs,
 )
+from repro.sweep.suite import CachedSuiteReport, CachedSuiteRunner
 from repro.utils.cache import ResultCache
 from repro.utils.rng import seed_for
 from repro.utils.timer import wall_clock
@@ -170,25 +162,13 @@ class PredictorOutcome:
     seconds: float
     from_cache: bool
 
+    @property
+    def label(self) -> str:
+        return self.scenario.label
 
-@dataclass(frozen=True)
-class PredictionSuiteReport:
+
+class PredictionSuiteReport(CachedSuiteReport[PredictorOutcome]):
     """All outcomes of one suite run plus aggregate bookkeeping."""
-
-    outcomes: Tuple[PredictorOutcome, ...]
-    seconds: float
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.from_cache)
-
-    @property
-    def cache_misses(self) -> int:
-        return len(self.outcomes) - self.cache_hits
-
-    def by_label(self) -> Dict[str, PredictorOutcome]:
-        """Mapping ``scenario label -> outcome``."""
-        return {outcome.scenario.label: outcome for outcome in self.outcomes}
 
     def best_models(self) -> Dict[Tuple[str, int, int], str]:
         """Mapping ``(city, resolution, seed) -> model with the lowest MAE``."""
@@ -236,7 +216,7 @@ def _outcome_from_payload(
     scenario: PredictorScenario,
     payload: Dict[str, Any],
     seconds: float,
-    from_cache: bool,
+    from_cache: bool = True,
 ) -> PredictorOutcome:
     return PredictorOutcome(
         scenario=scenario,
@@ -252,47 +232,31 @@ def _outcome_from_payload(
     )
 
 
-#: Per-worker-process dataset memo.  ProcessPoolExecutor workers are
-#: long-lived, so each process generates a dataset signature at most once no
-#: matter how many scenarios it evaluates; capped to stay small.
-_WORKER_DATASETS: Dict[Tuple[str, float, int, int], EventDataset] = {}
-_WORKER_DATASET_CAP = 8
+def _scenario_dataset(scenario: PredictorScenario) -> EventDataset:
+    return EventDataset.from_city(
+        city_preset(scenario.city, scale=scenario.scale),
+        num_days=scenario.num_days,
+        seed=scenario.dataset_seed,
+    )
 
 
-def _worker_dataset(scenario: PredictorScenario) -> EventDataset:
-    signature = scenario.dataset_signature
-    dataset = _WORKER_DATASETS.get(signature)
-    if dataset is None:
-        dataset = EventDataset.from_city(
-            city_preset(scenario.city, scale=scenario.scale),
-            num_days=scenario.num_days,
-            seed=scenario.dataset_seed,
-        )
-        if len(_WORKER_DATASETS) >= _WORKER_DATASET_CAP:
-            _WORKER_DATASETS.pop(next(iter(_WORKER_DATASETS)))
-        _WORKER_DATASETS[signature] = dataset
-    return dataset
-
-
-def _evaluate_scenario_task(
-    scenario: PredictorScenario,
-) -> Tuple[Dict[str, Any], float]:
-    """Process-pool worker: evaluate one scenario (timed inside the worker).
-
-    Module-level (picklable) on purpose.  Unlike the dispatch suite — where
-    dataset generation dominates and grouping by dataset is the right unit —
-    predictor scenarios are training-dominated, so the pool fans out per
-    scenario for real parallelism and relies on the per-process dataset memo
-    to avoid regenerating datasets.  Results are cached by the parent
-    process so cache writes stay single-writer and byte-identical to a
-    thread-backend run.
-    """
+def _evaluate_scenario(scenario: PredictorScenario, dataset: EventDataset) -> PredictorOutcome:
     start = wall_clock()
-    payload = evaluate_predictor_scenario(scenario, _worker_dataset(scenario))
-    return payload, wall_clock() - start
+    payload = evaluate_predictor_scenario(scenario, dataset)
+    return _outcome_from_payload(scenario, payload, seconds=wall_clock() - start, from_cache=False)
 
 
-class PredictionSuiteRunner:
+def _serialise(outcome: PredictorOutcome) -> Dict[str, Any]:
+    return {
+        "mae": outcome.mae,
+        "rmse": outcome.rmse,
+        "epochs_run": outcome.epochs_run,
+        "best_epoch": outcome.best_epoch,
+        "best_val_mae": outcome.best_val_mae,
+    }
+
+
+class PredictionSuiteRunner(CachedSuiteRunner[PredictorScenario, PredictorOutcome]):
     """Run a batch of predictor scenarios in parallel with persistent caching.
 
     Parameters
@@ -303,8 +267,8 @@ class PredictionSuiteRunner:
         Directory for the persistent :class:`~repro.utils.cache.ResultCache`;
         ``None`` disables on-disk caching (everything is recomputed).
     max_workers:
-        Worker-pool size; defaults to ``min(len(scenarios), cpu_count)`` for
-        threads and ``min(groups, cpu_count)`` for processes.
+        Worker-pool size, ``None`` or at least 1; defaults to
+        ``min(misses, cpu_count)``.
     executor:
         ``"thread"`` (default) or ``"process"``.  The process backend fans
         cache misses out one task per scenario (training dominates, so the
@@ -313,82 +277,16 @@ class PredictionSuiteRunner:
         bytes identical across backends.
     """
 
-    def __init__(
-        self,
-        scenarios: Iterable[PredictorScenario],
-        cache_dir: Optional[str] = None,
-        max_workers: Optional[int] = None,
-        executor: str = "thread",
-    ) -> None:
-        self.scenarios = list(scenarios)
-        if not self.scenarios:
-            raise ValueError("at least one scenario is required")
-        if executor not in ("thread", "process"):
-            raise ValueError("executor must be 'thread' or 'process'")
-        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.max_workers = max_workers
-        self.executor = executor
-        self._datasets: Dict[Tuple[str, float, int, int], EventDataset] = {}
+    item_name = "scenario"
+    report_type = PredictionSuiteReport
+    serialise = staticmethod(_serialise)
+    deserialise = staticmethod(_outcome_from_payload)
+    build_dataset = staticmethod(_scenario_dataset)
+    compute = staticmethod(_evaluate_scenario)
 
-    # ------------------------------------------------------------------ #
-
-    def run(self) -> PredictionSuiteReport:
-        """Evaluate every scenario and return the collected report."""
-        start = wall_clock()
-        if self.executor == "process":
-            outcomes = self._run_process_pool()
-        else:
-            self._prepare_datasets()
-            workers = self.max_workers or min(len(self.scenarios), os.cpu_count() or 1)
-            if workers <= 1:
-                outcomes = [self._run_scenario(s) for s in self.scenarios]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(self._run_scenario, self.scenarios))
-        return PredictionSuiteReport(
-            outcomes=tuple(outcomes), seconds=wall_clock() - start
-        )
-
-    def _run_process_pool(self) -> List[PredictorOutcome]:
-        """Fan cache misses out to worker processes, one task per scenario."""
-        slots: List[Optional[PredictorOutcome]] = [None] * len(self.scenarios)
-        misses: List[int] = []
-        for position, scenario in enumerate(self.scenarios):
-            if self.cache is not None:
-                payload = self.cache.get(self.cache_key(scenario))
-                if payload is not None:
-                    slots[position] = _outcome_from_payload(
-                        scenario, payload, seconds=0.0, from_cache=True
-                    )
-                    continue
-            misses.append(position)
-        if misses:
-            workers = self.max_workers or min(len(misses), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    (position, pool.submit(_evaluate_scenario_task, self.scenarios[position]))
-                    for position in misses
-                ]
-                for position, future in futures:
-                    payload, seconds = future.result()
-                    slots[position] = _outcome_from_payload(
-                        self.scenarios[position],
-                        payload,
-                        seconds=seconds,
-                        from_cache=False,
-                    )
-            # Single-writer cache updates, in scenario order, so the on-disk
-            # JSON bytes match a thread-backend run of the same suite.
-            if self.cache is not None:
-                for position in misses:
-                    outcome = slots[position]
-                    assert outcome is not None
-                    self.cache.put(
-                        self.cache_key(outcome.scenario), self._serialise(outcome)
-                    )
-        return [outcome for outcome in slots if outcome is not None]
-
-    # ------------------------------------------------------------------ #
+    @staticmethod
+    def group_key(scenario: PredictorScenario) -> PredictorScenario:
+        return scenario
 
     @staticmethod
     def cache_key(scenario: PredictorScenario) -> str:
@@ -396,63 +294,6 @@ class PredictionSuiteRunner:
         return ResultCache.key_for(
             {"schema": _CACHE_SCHEMA, "scenario": scenario.cache_payload()}
         )
-
-    @staticmethod
-    def _serialise(outcome: PredictorOutcome) -> Dict[str, Any]:
-        return {
-            "mae": outcome.mae,
-            "rmse": outcome.rmse,
-            "epochs_run": outcome.epochs_run,
-            "best_epoch": outcome.best_epoch,
-            "best_val_mae": outcome.best_val_mae,
-        }
-
-    def _prepare_datasets(self) -> None:
-        """Build each unique dataset once, before the workers fan out.
-
-        Scenarios that only hit the cache never need their dataset, so only
-        signatures with at least one cache miss are generated.
-        """
-        for scenario in self.scenarios:
-            if scenario.dataset_signature in self._datasets:
-                continue
-            if self.cache is not None and self.cache_key(scenario) in self.cache:
-                continue
-            self._dataset_for(scenario)
-
-    def _dataset_for(self, scenario: PredictorScenario) -> EventDataset:
-        signature = scenario.dataset_signature
-        if signature not in self._datasets:
-            self._datasets[signature] = EventDataset.from_city(
-                city_preset(scenario.city, scale=scenario.scale),
-                num_days=scenario.num_days,
-                seed=scenario.dataset_seed,
-            )
-        return self._datasets[signature]
-
-    def _run_scenario(self, scenario: PredictorScenario) -> PredictorOutcome:
-        scenario_start = wall_clock()
-        key = None
-        if self.cache is not None:
-            key = self.cache_key(scenario)
-            payload = self.cache.get(key)
-            if payload is not None:
-                return _outcome_from_payload(
-                    scenario,
-                    payload,
-                    seconds=wall_clock() - scenario_start,
-                    from_cache=True,
-                )
-        payload = evaluate_predictor_scenario(scenario, self._dataset_for(scenario))
-        outcome = _outcome_from_payload(
-            scenario,
-            payload,
-            seconds=wall_clock() - scenario_start,
-            from_cache=False,
-        )
-        if self.cache is not None and key is not None:
-            self.cache.put(key, self._serialise(outcome))
-        return outcome
 
 
 def predictor_scenarios(

@@ -17,11 +17,13 @@ The runner exploits three levels of sharing:
    :class:`~repro.utils.cache.ResultCache`; a rerun with identical parameters
    is a cache hit and does no work at all.
 
-Tasks are executed by a :class:`concurrent.futures.ThreadPoolExecutor`; the
-hot paths (batched expression errors, model training) are NumPy-bound and
-release the GIL for their heavy lifting.  Dict reads/writes are GIL-atomic
-and the expensive step — training — is single-flighted per side through the
-cache's per-side locks.
+The probe, dataset build, fan-out and cache writes are
+:class:`~repro.sweep.suite.CachedSuiteRunner`'s; this module defines the
+task.  The sweep is thread-only: the hot paths (batched expression errors,
+model training) are NumPy-bound and release the GIL for their heavy lifting,
+and the model-error caches are shared between threads.  Dict reads/writes are
+GIL-atomic and the expensive step — training — is single-flighted per side
+through the cache's per-side locks.
 
 Example
 -------
@@ -35,10 +37,9 @@ Example
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.search import SearchResult, run_search
@@ -46,6 +47,7 @@ from repro.core.upper_bound import UpperBoundEvaluator
 from repro.data.dataset import EventDataset
 from repro.data.presets import CITY_PRESETS, city_preset
 from repro.prediction.registry import available_models, model_factory
+from repro.sweep.suite import CachedSuiteReport, CachedSuiteRunner
 from repro.utils.cache import ResultCache
 from repro.utils.timer import wall_clock
 from repro.utils.validation import ensure_perfect_square
@@ -108,6 +110,11 @@ class SweepTask:
         ensure_perfect_square(self.hgrid_budget, "hgrid_budget")
 
     @property
+    def label(self) -> str:
+        """Human-readable task label."""
+        return f"{self.city}/{self.model}/slot{self.slot}"
+
+    @property
     def dataset_signature(self) -> Tuple[str, float, int, int]:
         """Key identifying the synthetic dataset this task runs against."""
         return (self.city, self.scale, self.num_days, self.seed)
@@ -144,25 +151,17 @@ class SweepOutcome:
     from_cache: bool
 
     @property
+    def label(self) -> str:
+        return self.task.label
+
+    @property
     def upper_bound(self) -> float:
         """``e(sqrt(n))`` at the selected side."""
         return self.model_error + self.expression_error
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(CachedSuiteReport[SweepOutcome]):
     """All outcomes of one sweep run plus aggregate bookkeeping."""
-
-    outcomes: Tuple[SweepOutcome, ...]
-    seconds: float
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.from_cache)
-
-    @property
-    def cache_misses(self) -> int:
-        return len(self.outcomes) - self.cache_hits
 
     def best_sides(self) -> Dict[Tuple[str, str, int], int]:
         """Mapping ``(city, model, slot) -> selected sqrt(n)``."""
@@ -238,8 +237,50 @@ def _deserialise_outcome(
     )
 
 
-class SweepRunner:
-    """Run a batch of :class:`SweepTask` in parallel with persistent caching.
+def _task_dataset(task: SweepTask) -> EventDataset:
+    return EventDataset.from_city(
+        city_preset(task.city, scale=task.scale), num_days=task.num_days, seed=task.seed
+    )
+
+
+def _search_task(
+    task: SweepTask,
+    dataset: EventDataset,
+    model_error_caches: Dict[Tuple, SingleFlightModelErrorCache],
+) -> SweepOutcome:
+    """Run one OGSS search; slot variants share a model-error cache."""
+    task_start = wall_clock()
+    evaluator = UpperBoundEvaluator(
+        dataset=dataset,
+        model_factory=model_factory(task.model),
+        hgrid_budget=task.hgrid_budget,
+        alpha_slot=task.slot,
+        model_error_cache=model_error_caches.setdefault(
+            (task.dataset_signature, task.model, task.hgrid_budget),
+            SingleFlightModelErrorCache(),
+        ),
+    )
+    result = run_search(
+        task.algorithm,
+        evaluator,
+        task.hgrid_budget,
+        min_side=task.min_side,
+        **dict(task.search_kwargs),
+    )
+    best = evaluator.evaluate_side(result.best_side)
+    return SweepOutcome(
+        task=task,
+        result=result,
+        model_error=best.model_error,
+        expression_error=best.expression_error,
+        mae=best.mae,
+        seconds=wall_clock() - task_start,
+        from_cache=False,
+    )
+
+
+class SweepRunner(CachedSuiteRunner[SweepTask, SweepOutcome]):
+    """Run a batch of :class:`SweepTask` in parallel threads with persistent caching.
 
     Parameters
     ----------
@@ -249,8 +290,15 @@ class SweepRunner:
         Directory for the persistent :class:`~repro.utils.cache.ResultCache`;
         ``None`` disables on-disk caching (everything is recomputed).
     max_workers:
-        Thread-pool size; defaults to ``min(len(tasks), cpu_count)``.
+        Thread-pool size, ``None`` or at least 1; defaults to
+        ``min(misses, cpu_count)``.
     """
+
+    item_name = "sweep task"
+    report_type = SweepReport
+    serialise = staticmethod(_serialise_outcome)
+    deserialise = staticmethod(_deserialise_outcome)
+    build_dataset = staticmethod(_task_dataset)
 
     def __init__(
         self,
@@ -258,94 +306,14 @@ class SweepRunner:
         cache_dir: Optional[str] = None,
         max_workers: Optional[int] = None,
     ) -> None:
-        self.tasks = list(tasks)
-        if not self.tasks:
-            raise ValueError("at least one sweep task is required")
-        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.max_workers = max_workers
-        self._datasets: Dict[Tuple[str, float, int, int], EventDataset] = {}
+        super().__init__(tasks, cache_dir=cache_dir, max_workers=max_workers)
         self._model_error_caches: Dict[Tuple, SingleFlightModelErrorCache] = {}
 
-    # ------------------------------------------------------------------ #
+    @staticmethod
+    def cache_key(task: SweepTask) -> str:
+        """Result-cache key of one task."""
+        return ResultCache.key_for(task.cache_payload())
 
-    def run(self) -> SweepReport:
-        """Execute every task and return the collected :class:`SweepReport`."""
-        start = wall_clock()
-        self._prepare_datasets()
-        workers = self.max_workers or min(len(self.tasks), os.cpu_count() or 1)
-        if workers <= 1:
-            outcomes = [self._run_task(task) for task in self.tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(self._run_task, self.tasks))
-        return SweepReport(
-            outcomes=tuple(outcomes), seconds=wall_clock() - start
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _prepare_datasets(self) -> None:
-        """Build each unique dataset once, before the workers fan out.
-
-        Tasks that only hit the cache never need their dataset, so only
-        signatures with at least one cache miss are generated.
-        """
-        for task in self.tasks:
-            if task.dataset_signature in self._datasets:
-                continue
-            if self.cache is not None:
-                key = ResultCache.key_for(task.cache_payload())
-                if key in self.cache:
-                    continue
-            self._dataset_for(task)
-
-    def _dataset_for(self, task: SweepTask) -> EventDataset:
-        signature = task.dataset_signature
-        if signature not in self._datasets:
-            self._datasets[signature] = EventDataset.from_city(
-                city_preset(task.city, scale=task.scale),
-                num_days=task.num_days,
-                seed=task.seed,
-            )
-        return self._datasets[signature]
-
-    def _run_task(self, task: SweepTask) -> SweepOutcome:
-        task_start = wall_clock()
-        key = None
-        if self.cache is not None:
-            key = ResultCache.key_for(task.cache_payload())
-            payload = self.cache.get(key)
-            if payload is not None:
-                return _deserialise_outcome(
-                    task, payload, seconds=wall_clock() - task_start
-                )
-        evaluator = UpperBoundEvaluator(
-            dataset=self._dataset_for(task),
-            model_factory=model_factory(task.model),
-            hgrid_budget=task.hgrid_budget,
-            alpha_slot=task.slot,
-            model_error_cache=self._model_error_caches.setdefault(
-                (task.dataset_signature, task.model, task.hgrid_budget),
-                SingleFlightModelErrorCache(),
-            ),
-        )
-        result = run_search(
-            task.algorithm,
-            evaluator,
-            task.hgrid_budget,
-            min_side=task.min_side,
-            **dict(task.search_kwargs),
-        )
-        best = evaluator.evaluate_side(result.best_side)
-        outcome = SweepOutcome(
-            task=task,
-            result=result,
-            model_error=best.model_error,
-            expression_error=best.expression_error,
-            mae=best.mae,
-            seconds=wall_clock() - task_start,
-            from_cache=False,
-        )
-        if self.cache is not None and key is not None:
-            self.cache.put(key, _serialise_outcome(outcome))
-        return outcome
+    @property
+    def compute(self) -> partial:
+        return partial(_search_task, model_error_caches=self._model_error_caches)
