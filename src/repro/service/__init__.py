@@ -44,7 +44,6 @@ from repro.service.loadgen import (
     parse_schedule,
     run_loadgen,
 )
-from repro.service.recovery import recover_service
 from repro.service.scheduler import (
     AdmissionError,
     AdmissionScheduler,
@@ -90,7 +89,6 @@ __all__ = [
     "order_payloads",
     "parse_schedule",
     "read_ingest_log",
-    "recover_service",
     "replay_ingest_log",
     "run_chaos_campaign",
     "run_loadgen",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
+from typing import Any, Deque, Dict, List, Mapping, Optional
 
 from repro.utils.timer import wall_clock
 
@@ -121,12 +121,14 @@ class AdmissionScheduler:
 
     **Backpressure.**  With ``max_pending`` set, admission is bounded: a
     well-formed order is *shed* (:class:`BackpressureError`, counted in
-    ``shed``) once the pending pool — orders admitted but not yet resolved,
-    ``resolved_fn`` supplying the resolved count — reaches the cap.  The
-    resolved count may be read without the service's state lock (a shed
-    decision tolerates a one-batch-stale value; the accounting identity
-    ``shed + admitted == offered`` holds exactly by construction because
-    both counters move under this scheduler's lock).
+    ``shed``) once the pending pool — admission ids issued minus orders
+    resolved — reaches the cap.  The match loop pushes its resolved count
+    through :meth:`set_resolved` after every batch, so a shed decision sees
+    a count at most one batch stale; the accounting identity
+    ``shed + admitted == offered`` holds exactly because both counters move
+    under this scheduler's lock.  ``shedding`` is raised by a shed and
+    cleared by the next admission; the service derives its ``degraded``
+    health state from it.
 
     **Resume.**  Crash recovery re-creates the scheduler mid-stream:
     ``start_id``/``start_watermark``/``start_slot`` seed the admission
@@ -140,7 +142,6 @@ class AdmissionScheduler:
         minutes_per_slot: float = 30.0,
         max_batch: int = 256,
         max_pending: Optional[int] = None,
-        resolved_fn: Optional[Callable[[], int]] = None,
         retry_after: float = 0.1,
         start_id: int = 0,
         start_watermark: float = float("-inf"),
@@ -158,7 +159,6 @@ class AdmissionScheduler:
         self.max_batch = int(max_batch)
         self.max_pending = None if max_pending is None else int(max_pending)
         self.retry_after = float(retry_after)
-        self._resolved_fn = resolved_fn
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._staged: Deque[Dict[str, float]] = deque()
@@ -166,6 +166,8 @@ class AdmissionScheduler:
         self._slot = None if start_slot is None else int(start_slot)
         self._next_id = int(start_id)
         self._closed = False
+        self._resolved = 0
+        self._shedding = False
         self._close_reason = "service is draining; no new orders accepted"
         self.submitted = 0
         self.rejected = 0
@@ -179,6 +181,11 @@ class AdmissionScheduler:
         with self._lock:
             return self._closed
 
+    @property
+    def shedding(self) -> bool:
+        """True from a shed submit until the next admitted one."""
+        with self._lock:
+            return self._shedding
 
     @property
     def staged_count(self) -> int:
@@ -209,14 +216,14 @@ class AdmissionScheduler:
                 self.rejected += 1
                 raise AdmissionError(self._close_reason)
             if self.max_pending is not None:
-                resolved = self._resolved_fn() if self._resolved_fn else 0
                 # _next_id counts every order ever admitted to the stream
                 # (recovery seeds it with the WAL record count), so the
                 # difference is the full pending pool: staged + in-flight +
                 # session-unresolved.
-                pending = self._next_id - resolved
+                pending = self._next_id - self._resolved
                 if pending >= self.max_pending:
                     self.shed += 1
+                    self._shedding = True
                     raise BackpressureError(
                         f"pending pool is full ({pending} of {self.max_pending} "
                         f"orders in flight); retry after {self.retry_after:g} s",
@@ -242,12 +249,18 @@ class AdmissionScheduler:
             order["_wall"] = wall_clock()
             self._staged.append(order)
             self.submitted += 1
+            self._shedding = False
             self._watermark = order["arrival_minute"]
             self._slot = int(order["slot"])
             if len(self._staged) > self.max_staged:
                 self.max_staged = len(self._staged)
             self._ready.notify()
             return order_id
+
+    def set_resolved(self, resolved: int) -> None:
+        """Record how many admitted orders the match loop has resolved."""
+        with self._lock:
+            self._resolved = int(resolved)
 
     def take(self, timeout: Optional[float] = None) -> Optional[List[Dict[str, float]]]:
         """Pop up to ``max_batch`` staged orders in admission order.

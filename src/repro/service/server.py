@@ -15,30 +15,38 @@
   scheduler's condition variable with a ``cadence_seconds`` timeout, so the
   next arrival is matched immediately instead of waiting out a poll
   interval (adaptive cadence);
-* :meth:`DispatchService.drain` closes admission, lets the loop drain the
-  stage and the session, and builds the final :class:`ServiceReport` —
-  exactly once.
+* :meth:`DispatchService.drain` closes admission and waits for the loop,
+  which drains the stage and the session and builds the final
+  :class:`ServiceReport` — exactly once.
+
+**Ownership.**  The match-loop thread is the only code that touches the
+session, the map of unresolved orders, the latency list and the counters.
+Every other thread only enqueues through the scheduler — whose lock is the
+only lock on the service's data path — and reads what the loop publishes by
+reference: an immutable stats snapshot swapped in after every batch, the
+failure record and the final report.  Nothing is shared mutably, so there
+is no lock to take, order or hold across a blocking call.
 
 **Health states.**  The service walks an explicit state machine::
 
     starting → serving ⇄ degraded → draining → stopped
                   ↘ failed (terminal)
 
-``degraded`` means the service is up but actively shedding load
-(backpressure); it flips back to ``serving`` on the next successful
-admission.  ``failed`` is entered when the match loop dies: the exception
-and traceback are captured, admission is closed with the failure message,
-``/healthz`` turns 503, :meth:`submit` raises :class:`ServiceFailedError`,
-and :meth:`drain` raises the same error with the captured traceback instead
-of blocking forever on a dead loop.
+The state is derived, not stored: ``failed`` once the loop recorded a
+failure, ``stopped`` once it built the report, ``draining`` once admission
+is closed, ``degraded`` while the scheduler is shedding load (backpressure;
+it flips back to ``serving`` on the next successful admission).  When the
+match loop dies, the exception and traceback are captured, admission is
+closed with the failure message, ``/healthz`` turns 503, :meth:`submit`
+raises :class:`ServiceFailedError`, and :meth:`drain` raises the same error
+with the captured traceback instead of blocking forever on a dead loop.
 
 **Crash safety.**  Every batch is appended to the ingest WAL *before* it
 reaches the session, so the session's state is always a prefix-replay of
 the log: a crash can lose staged (not yet batched) orders — which
 at-least-once clients re-submit — but never an order the engine already
 saw.  :meth:`DispatchService.recover` rebuilds a crashed run bit-exactly
-from its log (see :mod:`repro.service.recovery`) and resumes serving while
-appending to the same log.
+from its log and resumes serving while appending to the same log.
 
 Wall-clock measurements (admission→assignment latency, sustained
 orders/sec) live in this layer only; the simulation arithmetic runs inside
@@ -60,23 +68,32 @@ import math
 import threading
 import time
 import traceback
+from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple, Union
+from pathlib import Path
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.dispatch.engine import DispatchSession, VectorizedAssignmentEngine
+from repro.dispatch.engine import (
+    DispatchSession,
+    SessionEvent,
+    VectorizedAssignmentEngine,
+)
 from repro.dispatch.entities import DispatchMetrics
 from repro.dispatch.scenarios import (
     DispatchScenario,
     ScenarioBundle,
     build_scenario_bundle,
+    scenario_from_payload,
 )
 from repro.service.faults import INJECT_SLEEP_ENV, FaultController, FaultPlan
 from repro.service.ingest import (
+    IngestLogContents,
     IngestLogWriter,
     orders_from_records,
+    read_ingest_log,
     service_header,
 )
 from repro.service.scheduler import (
@@ -85,7 +102,7 @@ from repro.service.scheduler import (
     BackpressureError,
 )
 from repro.utils.cache import canonical_json
-from repro.utils.rng import default_rng, seed_for
+from repro.utils.rng import default_rng
 
 __all__ = [
     "DispatchService",
@@ -185,15 +202,37 @@ class ServiceReport:
         return payload
 
 
+class _LoopStats(NamedTuple):
+    """The match loop's counters, published by reference swap per batch.
+
+    Immutable, so any thread reads one consistent snapshot without a lock.
+    Every admitted order is in exactly one of the four order counts.
+    """
+
+    assigned: int = 0
+    cancelled: int = 0
+    #: Orders dropped unresolved when their slot closed.
+    unserved: int = 0
+    #: Orders still unresolved in the session (the loop's unresolved map).
+    unresolved: int = 0
+    batches: int = 0
+    max_pending: int = 0
+
+    @property
+    def admitted(self) -> int:
+        return self.assigned + self.cancelled + self.unserved + self.unresolved
+
+
 class DispatchService:
     """One always-on dispatch run over a scenario's fleet and city.
 
     Construction is cheap; :meth:`start` materialises the scenario bundle
     (or reuses a caller-provided one — the load generator shares its
     bundle), spawns the fleet, opens the ingest log and launches the match
-    loop.  ``submit``/``stats`` are thread-safe; ``drain`` is idempotent
-    and returns the same :class:`ServiceReport` on every call — unless the
-    loop failed, in which case it raises :class:`ServiceFailedError`.
+    loop.  ``submit``/``stats``/``health`` are safe from any thread;
+    ``drain`` is idempotent and returns the same :class:`ServiceReport` on
+    every call — unless the loop failed, in which case it raises
+    :class:`ServiceFailedError`.
     """
 
     def __init__(
@@ -209,24 +248,27 @@ class DispatchService:
         self._session: Optional[DispatchSession] = None
         self._log: Optional[IngestLogWriter] = None
         self._thread: Optional[threading.Thread] = None
-        self._state_lock = threading.Lock()
-        self._drain_lock = threading.Lock()
-        self._state = STATE_STARTING
-        self._failure: Optional[Dict[str, Any]] = None
-        self._records: List[Dict[str, Any]] = []
+        # Owned by the match loop (by _start until the loop exists).
+        #: Admission id → admission wall stamp (``None`` for recovered
+        #: orders) of every order the session still holds unresolved, in
+        #: admission order.
+        self._unresolved: "OrderedDict[int, Optional[float]]" = OrderedDict()
         self._latencies: List[float] = []
         self._assigned = 0
         self._cancelled = 0
+        self._unserved = 0
         self._batches = 0
+        self._max_pending_seen = 0
+        self._first_wall: Optional[float] = None
+        # Published by the match loop: each is replaced whole, never mutated.
+        self._stats = _LoopStats()
+        self._failure: Optional[Dict[str, Any]] = None
+        self._report: Optional[ServiceReport] = None
+        # Fixed before the loop starts.
         self._recovered_orders = 0
         #: True when this process was rebuilt from a WAL whose final record
         #: was crash-truncated (the partial record was discarded).
         self.recovered_truncated = False
-        self._max_pending_seen = 0
-        self._first_wall: Optional[float] = None
-        self._end_wall: Optional[float] = None
-        self._metrics: Optional[DispatchMetrics] = None
-        self._report: Optional[ServiceReport] = None
         self.drained = threading.Event()
         #: Set once the service reaches a terminal state: drained or failed.
         self.terminal = threading.Event()
@@ -246,8 +288,17 @@ class DispatchService:
 
     @property
     def state(self) -> str:
-        with self._state_lock:
-            return self._state
+        """Health state, derived from what the loop and scheduler publish."""
+        if self._failure is not None:
+            return STATE_FAILED
+        if self._report is not None:
+            return STATE_STOPPED
+        scheduler = self._scheduler
+        if scheduler is None or self._thread is None:
+            return STATE_STARTING
+        if scheduler.closed:
+            return STATE_DRAINING
+        return STATE_DEGRADED if scheduler.shedding else STATE_SERVING
 
     @property
     def recovered_orders(self) -> int:
@@ -257,8 +308,8 @@ class DispatchService:
     @property
     def failure(self) -> Optional[Dict[str, Any]]:
         """Captured match-loop failure (``None`` while healthy)."""
-        with self._state_lock:
-            return None if self._failure is None else dict(self._failure)
+        failure = self._failure
+        return None if failure is None else dict(failure)
 
     @property
     def faults(self) -> FaultController:
@@ -273,101 +324,140 @@ class DispatchService:
 
     def start(self) -> "DispatchService":
         """Materialise the scenario and launch the match loop."""
+        return self._start(None)
+
+    @classmethod
+    def recover(
+        cls,
+        log_path: Union[str, Path],
+        bundle: Optional[ScenarioBundle] = None,
+        sparse: Optional[str] = None,
+        max_batch: int = 256,
+        cadence_seconds: float = 0.05,
+        max_pending: Optional[int] = None,
+        fsync_ingest: bool = False,
+        fault_plan: Optional[FaultPlan] = None,
+    ) -> "DispatchService":
+        """Rebuild a crashed run from its ingest WAL and resume serving.
+
+        The service appends every batch to the log before the session sees
+        it, so after any crash the log is a complete prefix of the admitted
+        stream, plus at most one torn final record if the crash landed
+        mid-append (:func:`~repro.service.ingest.read_ingest_log` discards
+        it).  The scenario, engine parameters and simulation seed come from
+        the log header; runtime knobs (batching cadence, backpressure cap,
+        durability, fault plan) are the caller's, since they describe the
+        *new* process.  ``sparse=None`` keeps the recorded matching
+        pipeline.  Returns a serving service already appending to the same
+        log.
+
+        **The bit-identity contract.**  A run that crashes after N batches,
+        recovers, and then receives the rest of the stream finishes with
+        ``DispatchMetrics``, final fleet state and RNG position
+        bit-identical to the same stream served without interruption — and
+        the stitched WAL (prefix + post-recovery appends) replays offline to
+        the same metrics.  The session is chunk-invariant, so replaying the
+        logged records in one chunk rebuilds the crashed process's state at
+        its last completed batch.  Orders that were *staged but not yet
+        batched* at the crash are the one loss: they never reached the WAL,
+        and at-least-once clients re-submit them (the scheduler is seeded
+        so they get the admission ids the uninterrupted run would have
+        assigned).  ``tests/service/test_recovery.py`` kills services at
+        every seam and asserts all three identities.
+        """
+        contents = read_ingest_log(log_path)
+        header = contents.header
+        config = ServiceConfig(
+            scenario=scenario_from_payload(header["scenario"]),
+            sparse=str(header["sparse"]) if sparse is None else sparse,
+            max_batch=max_batch,
+            cadence_seconds=cadence_seconds,
+            ingest_log=str(log_path),
+            day=int(header.get("day", 0)),
+            max_pending=max_pending,
+            fsync_ingest=fsync_ingest,
+            fault_plan=fault_plan if fault_plan is not None else FaultPlan(),
+        )
+        return cls(config, bundle=bundle)._start(contents)
+
+    def _start(self, contents: Optional[IngestLogContents]) -> "DispatchService":
+        """Build the session, scheduler and WAL writer, then launch the loop.
+
+        A fresh run (``contents=None``) writes a new log.  A recovered run
+        replays ``contents.records`` through the fresh session in one chunk,
+        seeds the scheduler with the record count, last arrival and last
+        slot, publishes the replayed counters (so backpressure starts from
+        the true pending pool), and reopens the log in append mode,
+        truncating a torn final record.
+        """
         if self._thread is not None:
             raise RuntimeError("service already started")
         scenario = self.config.scenario
-        bundle = self._materialise_bundle(scenario)
-        engine = self._build_engine(scenario, bundle)
-        rng = default_rng(
-            seed_for(
-                f"dispatch-scenario/{scenario.city}/{scenario.policy}/sim",
-                scenario.seed,
+        if self._bundle is None:
+            self._bundle = build_scenario_bundle(scenario)
+        elif self._bundle.scenario.cache_payload() != scenario.cache_payload():
+            raise ValueError("bundle does not match the service scenario")
+        bundle = self._bundle
+        engine = VectorizedAssignmentEngine(
+            policy=scenario.make_policy(),
+            travel=bundle.travel,
+            demand=bundle.provider,
+            batch_minutes=scenario.batch_minutes,
+            sparse=self.config.sparse,
+            minutes_per_slot=bundle.minutes_per_slot,
+        )
+        if contents is None:
+            header = service_header(
+                scenario,
+                minutes_per_slot=self.minutes_per_slot,
+                batch_minutes=engine.batch_minutes,
+                unserved_penalty_km=engine.unserved_penalty_km,
+                sparse=self.config.sparse,
+                day=self.config.day,
             )
-        )
+            records: List[Dict[str, Any]] = []
+        else:
+            header, records = contents.header, contents.records
         self._session = DispatchSession(
-            engine, bundle.spawn_fleet(), rng, day=self.config.day
+            engine,
+            bundle.spawn_fleet(),
+            default_rng(int(header["sim_seed"])),
+            day=self.config.day,
         )
-        self._scheduler = self._build_scheduler()
-        if self.config.ingest_log is not None:
-            self._log = IngestLogWriter(
+        self._scheduler = AdmissionScheduler(
+            minutes_per_slot=self.minutes_per_slot,
+            max_batch=self.config.max_batch,
+            max_pending=self.config.max_pending,
+            retry_after=max(0.05, 2.0 * self.config.cadence_seconds),
+            start_id=len(records),
+            start_watermark=(
+                float(records[-1]["arrival_minute"]) if records else float("-inf")
+            ),
+            start_slot=int(records[-1]["slot"]) if records else None,
+        )
+        if records:
+            self._admit(records)
+        self._publish()
+        self._recovered_orders = len(records)
+        if contents is not None:
+            self.recovered_truncated = bool(contents.truncated)
+            self._log = IngestLogWriter.resume(
                 self.config.ingest_log,
-                service_header(
-                    scenario,
-                    minutes_per_slot=self.minutes_per_slot,
-                    batch_minutes=engine.batch_minutes,
-                    unserved_penalty_km=engine.unserved_penalty_km,
-                    sparse=self.config.sparse,
-                    day=self.config.day,
-                ),
+                complete_bytes=contents.complete_bytes,
                 fsync=self.config.fsync_ingest,
                 fault_controller=self._faults,
             )
-        self._launch_loop()
-        return self
-
-    @classmethod
-    def recover(cls, log_path: Union[str, Any], **kwargs: Any) -> "DispatchService":
-        """Rebuild a crashed run from its ingest WAL and resume serving.
-
-        See :func:`repro.service.recovery.recover_service` for parameters
-        and the recovery-equals-uninterrupted-run bit-identity contract.
-        """
-        from repro.service.recovery import recover_service
-
-        return recover_service(log_path, **kwargs)
-
-    def _start_recovered(self, contents: Any) -> "DispatchService":
-        """Resume from parsed WAL contents (see :mod:`repro.service.recovery`).
-
-        Replays every logged record through a fresh session in one chunk —
-        the session is chunk-invariant, so the rebuilt state (metrics
-        accumulators, fleet arrays, RNG position) is bit-identical to the
-        crashed run's — then reopens the WAL in append mode (truncating a
-        partial final record) and resumes the match loop.  The scheduler is
-        seeded with the WAL record count and the last logged arrival so
-        re-submitted in-flight orders get the same admission ids the
-        uninterrupted run would have assigned.
-        """
-        if self._thread is not None:
-            raise RuntimeError("service already started")
-        scenario = self.config.scenario
-        bundle = self._materialise_bundle(scenario)
-        engine = self._build_engine(scenario, bundle)
-        header = contents.header
-        rng = default_rng(int(header["sim_seed"]))
-        self._session = DispatchSession(
-            engine, bundle.spawn_fleet(), rng, day=self.config.day
+        elif self.config.ingest_log is not None:
+            self._log = IngestLogWriter(
+                self.config.ingest_log,
+                header,
+                fsync=self.config.fsync_ingest,
+                fault_controller=self._faults,
+            )
+        self._thread = threading.Thread(
+            target=self._loop, name="repro-service-match-loop", daemon=True
         )
-        records = contents.records
-        if records:
-            events = self._session.admit(orders_from_records(records))
-            events.extend(self._session.advance())
-            # Recovered orders carry no admission wall-clock stamp: their
-            # latency belongs to the crashed process, not this one.
-            # repro-lint: disable=CONC001 -- recovery replay precedes _launch_loop(); no other thread observes the service yet
-            self._records = [
-                {"status": "queued", "wall_admitted": None} for _ in records
-            ]
-            self._apply_events(events, time.perf_counter())
-            start_watermark = float(records[-1]["arrival_minute"])
-            start_slot: Optional[int] = int(records[-1]["slot"])
-        else:
-            start_watermark = float("-inf")
-            start_slot = None
-        self._recovered_orders = len(records)
-        self.recovered_truncated = bool(contents.truncated)
-        self._scheduler = self._build_scheduler(
-            start_id=len(records),
-            start_watermark=start_watermark,
-            start_slot=start_slot,
-        )
-        self._log = IngestLogWriter.resume(
-            self.config.ingest_log,
-            complete_bytes=contents.complete_bytes,
-            fsync=self.config.fsync_ingest,
-            fault_controller=self._faults,
-        )
-        self._launch_loop()
+        self._thread.start()
         return self
 
     def submit(self, payload: Any) -> Dict[str, int]:
@@ -377,159 +467,80 @@ class DispatchService:
         scheduler = self._scheduler
         if scheduler is None:
             raise RuntimeError("service not started")
-        with self._state_lock:
-            if self._failure is not None:
-                raise ServiceFailedError(
-                    f"service failed: {self._failure['error']}", self._failure
-                )
-        try:
-            order_id = scheduler.submit(payload)
-        except BackpressureError:
-            with self._state_lock:
-                if self._state == STATE_SERVING:
-                    self._state = STATE_DEGRADED
-            raise
-        with self._state_lock:
-            if self._state == STATE_DEGRADED:
-                self._state = STATE_SERVING
-        return {"order_id": order_id}
+        failure = self._failure
+        if failure is None:
+            try:
+                return {"order_id": scheduler.submit(payload)}
+            except AdmissionError:
+                # A dying loop records its failure before it closes
+                # admission, so a submit that lost the race still learns
+                # the service failed (HTTP 503, retried) rather than that
+                # its order was malformed (HTTP 400, dropped).
+                failure = self._failure
+                if failure is None:
+                    raise
+        raise ServiceFailedError(f"service failed: {failure['error']}", failure)
 
     def stats(self) -> Dict[str, Any]:
         """Live counters, safe to call from any thread."""
         scheduler = self._scheduler
         if scheduler is None:
             raise RuntimeError("service not started")
-        # Scheduler counters are read before taking the state lock: the
-        # submit path acquires scheduler-then-state, so nesting them the
-        # other way here would invert the lock order.
         staged = scheduler.staged_count
-        submitted = scheduler.submitted
-        rejected = scheduler.rejected
-        shed = scheduler.shed
-        max_staged = scheduler.max_staged
-        closed = scheduler.closed
-        with self._state_lock:
-            admitted = len(self._records)
-            return {
-                "state": self._state,
-                "submitted": submitted,
-                "rejected": rejected,
-                "shed": shed,
-                "admitted": admitted,
-                "assigned": self._assigned,
-                "cancelled": self._cancelled,
-                "pending": admitted - self._assigned - self._cancelled + staged,
-                "staged": staged,
-                "batches": self._batches,
-                "recovered": self._recovered_orders,
-                "max_pending": max(self._max_pending_seen, max_staged),
-                "draining": closed,
-                "drained": self.drained.is_set(),
-                "failure": None
-                if self._failure is None
-                else self._failure["error"],
-            }
+        loop = self._stats
+        failure = self._failure
+        return {
+            "state": self.state,
+            "submitted": scheduler.submitted,
+            "rejected": scheduler.rejected,
+            "shed": scheduler.shed,
+            "admitted": loop.admitted,
+            "assigned": loop.assigned,
+            "cancelled": loop.cancelled,
+            "pending": loop.unresolved + loop.unserved + staged,
+            "staged": staged,
+            "batches": loop.batches,
+            "recovered": self._recovered_orders,
+            "max_pending": max(loop.max_pending, scheduler.max_staged),
+            "draining": scheduler.closed,
+            "drained": self.drained.is_set(),
+            "failure": None if failure is None else failure["error"],
+        }
 
     def health(self) -> Tuple[int, Dict[str, Any]]:
         """``(http_status, payload)`` for ``/healthz``: 503 once failed."""
-        with self._state_lock:
-            state = self._state
-            failure = self._failure
+        state = self.state
         if state == STATE_FAILED:
-            return 503, {"status": state, "error": failure["error"]}
+            return 503, {"status": state, "error": self._failure["error"]}
         return 200, {"status": state}
 
     def drain(self) -> ServiceReport:
         """Stop admission, drain staged orders and the session — exactly once.
 
-        Subsequent calls return the same report object; in-flight orders are
-        matched (or expire) during the drain, never re-processed.  If the
-        match loop has failed — before or during the drain — raises
-        :class:`ServiceFailedError` carrying the captured traceback instead
-        of blocking on a loop that will never finish.
+        Closes admission and waits for the match loop, which drains and
+        builds the report once; every call returns that same report object.
+        In-flight orders are matched (or expire) during the drain, never
+        re-processed.  If the match loop has failed — before or during the
+        drain — raises :class:`ServiceFailedError` carrying the captured
+        traceback instead of blocking on a loop that will never finish.
         """
-        with self._drain_lock:
-            if self._report is None:
-                if self._scheduler is None or self._thread is None:
-                    raise RuntimeError("service not started")
-                self._raise_if_failed()
-                with self._state_lock:
-                    if self._state in (STATE_SERVING, STATE_DEGRADED):
-                        self._state = STATE_DRAINING
-                self._scheduler.close()
-                # repro-lint: disable=CONC004 -- the match loop never takes _drain_lock, so joining it here cannot deadlock; the lock only serialises concurrent drain() callers
-                self._thread.join()
-                self._raise_if_failed()
-                with self._state_lock:
-                    self._state = STATE_STOPPED
-                self._report = self._build_report()
-                if self._log is not None:
-                    self._log.close()
-                self.drained.set()
-                self.terminal.set()
-            return self._report
-
-    def _raise_if_failed(self) -> None:
-        with self._state_lock:
-            failure = self._failure
+        scheduler, thread = self._scheduler, self._thread
+        if scheduler is None or thread is None:
+            raise RuntimeError("service not started")
+        scheduler.close()
+        thread.join()
+        failure = self._failure
         if failure is not None:
             raise ServiceFailedError(
                 f"match loop failed on batch {failure['batch']}: "
                 f"{failure['error']}\n{failure['traceback']}",
                 failure,
             )
+        return self._report
 
     # ------------------------------------------------------------------ #
-
-    def _materialise_bundle(self, scenario: DispatchScenario) -> ScenarioBundle:
-        if self._bundle is None:
-            self._bundle = build_scenario_bundle(scenario)
-        elif self._bundle.scenario.cache_payload() != scenario.cache_payload():
-            raise ValueError("bundle does not match the service scenario")
-        return self._bundle
-
-    def _build_engine(
-        self, scenario: DispatchScenario, bundle: ScenarioBundle
-    ) -> VectorizedAssignmentEngine:
-        return VectorizedAssignmentEngine(
-            policy=scenario.make_policy(),
-            travel=bundle.travel,
-            demand=bundle.provider,
-            batch_minutes=scenario.batch_minutes,
-            sparse=self.config.sparse,
-            minutes_per_slot=bundle.minutes_per_slot,
-        )
-
-    def _build_scheduler(
-        self,
-        start_id: int = 0,
-        start_watermark: float = float("-inf"),
-        start_slot: Optional[int] = None,
-    ) -> AdmissionScheduler:
-        return AdmissionScheduler(
-            minutes_per_slot=self.minutes_per_slot,
-            max_batch=self.config.max_batch,
-            max_pending=self.config.max_pending,
-            resolved_fn=self._resolved_total,
-            retry_after=max(0.05, 2.0 * self.config.cadence_seconds),
-            start_id=start_id,
-            start_watermark=start_watermark,
-            start_slot=start_slot,
-        )
-
-    def _resolved_total(self) -> int:
-        # Plain int reads (no lock): the backpressure check tolerates a
-        # value one batch stale, and CPython makes the reads atomic.
-        # repro-lint: disable=CONC005 -- deliberate lock-free fast path; called under the scheduler lock on every submit, so taking _state_lock here would also create a scheduler→state ordering hazard
-        return self._assigned + self._cancelled
-
-    def _launch_loop(self) -> None:
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-service-match-loop", daemon=True
-        )
-        with self._state_lock:
-            self._state = STATE_SERVING
-        self._thread.start()
+    # Match-loop thread: everything below runs on it (or in _start, before
+    # the loop exists).
 
     def _loop(self) -> None:
         scheduler = self._scheduler
@@ -541,96 +552,90 @@ class DispatchService:
                     break  # closed and fully drained
                 if not batch:
                     continue  # idle tick; the next arrival wakes us immediately
-                with self._state_lock:
-                    index = self._batches
+                index = self._batches
                 self._process(batch, index)
                 self._faults.after_batch(index)
             # Graceful drain: fire the current slot's remaining boundaries
             # so every in-flight order is matched or expires, then close
             # the run.
-            events = self._session.advance(drain=True)
-            self._apply_events(events, time.perf_counter())
-            with self._state_lock:
-                self._metrics = self._session.finish()
-                self._end_wall = time.perf_counter()
+            self._resolve(self._session.advance(drain=True), time.perf_counter())
+            metrics = self._session.finish()
+            end_wall = time.perf_counter()
+            self._publish()
+            if self._log is not None:
+                self._log.close()
+            self._report = self._build_report(metrics, end_wall)
+            self.drained.set()
         except BaseException as exc:  # noqa: BLE001 — supervision seam
-            with self._state_lock:
-                failure = {
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "traceback": traceback.format_exc(),
-                    "batch": self._batches,
-                }
-                self._failure = failure
-                self._state = STATE_FAILED
+            failure = {
+                "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc(),
+                "batch": self._batches,
+            }
+            self._failure = failure
             # Close admission with the failure as the rejection reason so
-            # racing submitters see what happened, then signal waiters.
+            # racing submitters see what happened.
             scheduler.close(reason=f"service failed: {failure['error']}")
-            self.terminal.set()
+        self.terminal.set()
 
     def _process(self, batch: List[Dict[str, Any]], index: int) -> None:
-        session = self._session
         self._faults.before_batch(index)
         # WAL-first ordering: a batch reaches the log before the session,
         # so recovery can always rebuild the session as a prefix replay.
         if self._log is not None:
             self._log.append(batch, batch_index=index)
-        chunk = orders_from_records(batch)
-        events = session.admit(chunk)
+        if self._first_wall is None:
+            self._first_wall = batch[0]["_wall"]
+        self._admit(batch)
+        self._batches = index + 1
+        pending = len(self._unresolved) + self._scheduler.staged_count
+        self._max_pending_seen = max(self._max_pending_seen, pending)
+        self._publish()
+
+    def _admit(self, records: List[Dict[str, Any]]) -> None:
+        session = self._session
+        events = session.admit(orders_from_records(records))
         events.extend(session.advance())
         now = time.perf_counter()
-        with self._state_lock:
-            if self._first_wall is None:
-                self._first_wall = batch[0]["_wall"]
-            for order in batch:
-                self._records.append(
-                    {"status": "queued", "wall_admitted": order["_wall"]}
-                )
-            self._batches = index + 1
-        self._apply_events(events, now)
-        pending = session.pending_orders + self._scheduler.staged_count
-        with self._state_lock:
-            if pending > self._max_pending_seen:
-                self._max_pending_seen = pending
+        # Records replayed from the WAL carry no admission wall stamp: their
+        # latency belongs to the crashed process, not this one.
+        self._unresolved.update(
+            (record["order_id"], record.get("_wall")) for record in records
+        )
+        self._resolve(events, now)
 
-    def _apply_events(self, events: List[Any], now: float) -> None:
-        if not events:
-            return
-        with self._state_lock:
-            for event in events:
-                record = self._records[event.order]
-                record["status"] = event.kind
-                record["minute"] = event.minute
-                record["wall_resolved"] = now
-                if event.kind == "assigned":
-                    record["driver"] = event.driver
-                    self._assigned += 1
-                    # Recovered orders carry no admission stamp: their
-                    # latency belongs to the crashed run, not this one.
-                    if record["wall_admitted"] is not None:
-                        self._latencies.append(
-                            (now - record["wall_admitted"]) * 1000.0
-                        )
-                else:
-                    self._cancelled += 1
-
-    def _build_report(self) -> ServiceReport:
-        scheduler = self._scheduler
-        with self._state_lock:
-            admitted = len(self._records)
-            unserved = sum(
-                1 for record in self._records if record["status"] == "queued"
-            )
-            latencies = np.asarray(self._latencies, dtype=float)
-            if self._first_wall is not None and self._end_wall is not None:
-                duration = max(self._end_wall - self._first_wall, 1e-9)
+    def _resolve(self, events: List[SessionEvent], now: float) -> None:
+        unresolved = self._unresolved
+        for event in events:
+            wall = unresolved.pop(event.order)
+            if event.kind == "assigned":
+                self._assigned += 1
+                if wall is not None:
+                    self._latencies.append((now - wall) * 1000.0)
             else:
-                duration = 0.0
-            metrics = self._metrics
-            state = self._state
-            recovered = self._recovered_orders
-            assigned = self._assigned
-            cancelled = self._cancelled
-            max_pending_seen = self._max_pending_seen
+                self._cancelled += 1
+        # The session holds its current slot's orders, the newest in the
+        # map; older entries were dropped unresolved when their slot closed.
+        for _ in range(len(unresolved) - self._session.pending_orders):
+            unresolved.popitem(last=False)
+            self._unserved += 1
+
+    def _publish(self) -> None:
+        """Swap in a fresh stats snapshot; push the resolved count."""
+        self._stats = _LoopStats(
+            assigned=self._assigned,
+            cancelled=self._cancelled,
+            unserved=self._unserved,
+            unresolved=len(self._unresolved),
+            batches=self._batches,
+            max_pending=self._max_pending_seen,
+        )
+        self._scheduler.set_resolved(self._assigned + self._cancelled)
+
+    def _build_report(self, metrics: DispatchMetrics, end_wall: float) -> ServiceReport:
+        scheduler = self._scheduler
+        loop = self._stats
+        latencies = np.asarray(self._latencies, dtype=float)
         if latencies.size:
             p50 = float(np.percentile(latencies, 50))
             p99 = float(np.percentile(latencies, 99))
@@ -638,24 +643,28 @@ class DispatchService:
             peak = float(latencies.max())
         else:
             p50 = p99 = mean = peak = 0.0
+        if self._first_wall is not None:
+            duration = max(end_wall - self._first_wall, 1e-9)
+        else:
+            duration = 0.0
         return ServiceReport(
-            orders_admitted=admitted,
+            orders_admitted=loop.admitted,
             orders_rejected=scheduler.rejected,
-            assigned=assigned,
-            cancelled=cancelled,
-            unserved=unserved,
+            assigned=loop.assigned,
+            cancelled=loop.cancelled,
+            unserved=loop.unserved,
             duration_seconds=duration,
-            orders_per_sec=admitted / duration if duration > 0 else 0.0,
+            orders_per_sec=loop.admitted / duration if duration > 0 else 0.0,
             latency_p50_ms=p50,
             latency_p99_ms=p99,
             latency_mean_ms=mean,
             latency_max_ms=peak,
-            max_pending=max(max_pending_seen, scheduler.max_staged),
+            max_pending=max(loop.max_pending, scheduler.max_staged),
             metrics=metrics,
             ingest_log=self.config.ingest_log,
             orders_shed=scheduler.shed,
-            state=state,
-            recovered_orders=recovered,
+            state=STATE_STOPPED,
+            recovered_orders=self._recovered_orders,
         )
 
 

@@ -144,6 +144,37 @@ class TestSupervisedLoop:
         assert "poison batch" in stats["failure"]
         assert not service.drained.is_set()
 
+    def test_submit_racing_the_loop_death_gets_service_failed(
+        self, scenario, bundle, payloads, monkeypatch
+    ):
+        # Regression: a submit that passed the failure check just before the
+        # loop died used to surface the closed scheduler's AdmissionError
+        # (HTTP 400, not retried) instead of ServiceFailedError (HTTP 503).
+        import threading
+
+        service = make_service(scenario, bundle).start()
+        release = threading.Event()
+
+        def poison(chunk):
+            release.wait(timeout=10.0)
+            raise RuntimeError("poison batch")
+
+        service.session.admit = poison
+        service.submit(payloads[0])
+        scheduler = service._scheduler
+        original = scheduler.submit
+
+        def racing(payload):
+            # Past the service's failure check: let the loop die now.
+            release.set()
+            assert service.terminal.wait(timeout=10.0)
+            return original(payload)
+
+        monkeypatch.setattr(scheduler, "submit", racing)
+        with pytest.raises(ServiceFailedError, match="poison batch"):
+            service.submit(payloads[1])
+        assert service.state == "failed"
+
     def test_injected_crash_surfaces_over_http(self, scenario, bundle, payloads):
         plan = FaultPlan(crash_on_batch=0)
         service = make_service(scenario, bundle, fault_plan=plan).start()

@@ -128,6 +128,24 @@ class TestKillMidRunBitIdentity:
         assert first == {"order_id": recovered.recovered_orders}
         recovered.drain()
 
+    def test_recovered_service_does_not_shed_on_its_first_submit(
+        self, scenario, bundle, payloads, tmp_path
+    ):
+        # The replayed resolutions must reach the scheduler before the loop
+        # starts; otherwise every recovered order counts as pending.
+        log = tmp_path / "bp.jsonl"
+        crash_service(scenario, bundle, payloads, log, crash_batch=3)
+        cap = len(read_ingest_log(log).records)
+        recovered = DispatchService.recover(
+            log, bundle=bundle, cadence_seconds=0.01, max_pending=cap
+        )
+        assert recovered.recovered_orders == cap
+        assert recovered.stats()["pending"] < cap
+        first = recovered.submit(payloads[cap])
+        assert first == {"order_id": cap}
+        assert recovered.state == "serving"
+        recovered.drain()
+
     def test_recovered_service_rejects_arrivals_behind_wal_watermark(
         self, scenario, bundle, payloads, tmp_path
     ):

@@ -141,10 +141,7 @@ class TestBackpressureAndResume:
     def test_shed_once_pool_reaches_cap(self):
         from repro.service.scheduler import BackpressureError
 
-        resolved = {"count": 0}
-        scheduler = AdmissionScheduler(
-            max_pending=2, resolved_fn=lambda: resolved["count"], retry_after=0.25
-        )
+        scheduler = AdmissionScheduler(max_pending=2, retry_after=0.25)
         scheduler.submit(order_payload(arrival=480.0))
         scheduler.submit(order_payload(arrival=481.0))
         with pytest.raises(BackpressureError, match="pending pool is full") as info:
@@ -152,19 +149,33 @@ class TestBackpressureAndResume:
         assert info.value.retry_after == 0.25
         assert scheduler.shed == 1
         # A resolution frees one slot and admission resumes.
-        resolved["count"] = 1
+        scheduler.set_resolved(1)
         scheduler.submit(order_payload(arrival=482.0))
         assert scheduler.submitted == 3
 
     def test_shed_orders_are_not_counted_as_rejected(self):
         from repro.service.scheduler import BackpressureError
 
-        scheduler = AdmissionScheduler(max_pending=1, resolved_fn=lambda: 0)
+        scheduler = AdmissionScheduler(max_pending=1)
+        scheduler.set_resolved(0)
         scheduler.submit(order_payload(arrival=480.0))
         with pytest.raises(BackpressureError):
             scheduler.submit(order_payload(arrival=481.0))
         assert scheduler.rejected == 0
         assert scheduler.shed == 1
+
+    def test_shedding_flag_clears_on_next_admission(self):
+        from repro.service.scheduler import BackpressureError
+
+        scheduler = AdmissionScheduler(max_pending=1)
+        scheduler.submit(order_payload(arrival=480.0))
+        assert not scheduler.shedding
+        with pytest.raises(BackpressureError):
+            scheduler.submit(order_payload(arrival=481.0))
+        assert scheduler.shedding
+        scheduler.set_resolved(1)
+        scheduler.submit(order_payload(arrival=481.0))
+        assert not scheduler.shedding
 
     def test_resume_seeds_ids_watermark_and_slot(self):
         scheduler = AdmissionScheduler(

@@ -73,13 +73,26 @@ class TestServiceLifecycle:
         self, scenario, bundle, payloads
     ):
         service = make_service(scenario, bundle).start()
+        session = service.session
+        events = []
+
+        def recording(method):
+            def wrapper(*args, **kwargs):
+                fired = method(*args, **kwargs)
+                events.extend(fired)
+                return fired
+
+            return wrapper
+
+        session.admit = recording(session.admit)
+        session.advance = recording(session.advance)
         impatient = dict(payloads[0], max_wait_minutes=1e-3)
         service.submit(impatient)
         for payload in payloads[1:30]:
             service.submit(payload)
         report = service.drain()
         # The impatient order expired before its first batch boundary.
-        assert service._records[0]["status"] == "cancelled"
+        assert [event.kind for event in events if event.order == 0] == ["cancelled"]
         assert report.cancelled >= 1
         assert report.assigned + report.cancelled + report.unserved == 30
 
@@ -123,6 +136,40 @@ class TestServiceLifecycle:
         with pytest.raises(RuntimeError, match="already started"):
             service.start()
         service.drain()
+
+
+class TestBoundedOrderState:
+    def test_per_order_state_covers_only_orders_the_session_holds(
+        self, scenario, bundle, payloads
+    ):
+        # 80 patient orders at the very end of slot 16 outnumber the
+        # 40-driver fleet; the first slot-17 arrival closes slot 16, so
+        # half of them leave the session unresolved (unserved).
+        crowd = [
+            dict(payloads[0], arrival_minute=509.5, max_wait_minutes=600.0)
+            for _ in range(80)
+        ]
+        late = next(payload for payload in payloads if payload["slot"] == 17)
+        service = make_service(scenario, bundle, cadence_seconds=0.01).start()
+        for payload in crowd + [late]:
+            service.submit(payload)
+        deadline = time.perf_counter() + 10.0
+        while service.stats()["admitted"] < 81 and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        stats = service.stats()
+        assert stats["admitted"] == 81 and stats["staged"] == 0
+        unserved = service._stats.unserved
+        assert unserved > 0
+        # The loop keeps per-order state only for what the session still
+        # holds; orders its closed slot dropped are a counter, and the
+        # published pending pool still counts them.
+        assert len(service._unresolved) == service.session.pending_orders
+        assert stats["pending"] - stats["staged"] == len(service._unresolved) + unserved
+        report = service.drain()
+        stats = service.stats()
+        assert not service._unresolved
+        assert report.unserved == stats["pending"] - stats["staged"] >= unserved
+        assert report.assigned + report.cancelled + report.unserved == 81
 
 
 class TestHttpApi:
