@@ -40,6 +40,16 @@ errors to per-MGrid totals and :func:`total_expression_error_multi` evaluates
 several alpha grids (e.g. every time slot of a day) against one layout in a
 single batched pass.
 
+The pmf table of ``Y`` is cut where it underflows.  For ``km > rest`` the
+log-pmf grows with ``rest``, so the row with the batch's largest ``rest``
+underflows last; from the first such column whose log-pmf is below -800
+(``exp`` returns exactly 0.0 below about -745) every row is exactly 0.0.
+Adding 0.0 leaves a sequential ``cumsum`` unchanged, so reading the prefix
+sums at ``min(c, cut)`` while multiplying by the unclamped ``c`` gives the
+same bits as the full ``(m - 1) K + 1``-wide table.  In ``"auto"`` mode the
+exact cells have ``alpha + rest < 25`` and the cut lands near column 400 of
+up to a few thousand.
+
 Aggregate helpers (:func:`mgrid_expression_error`,
 :func:`total_expression_error`) sum the per-HGrid errors over an MGrid or over
 a whole city at a given :class:`~repro.core.grid.GridLayout`; both are backed
@@ -52,7 +62,7 @@ import math
 from typing import Literal
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from repro.core.grid import GridLayout
 from repro.utils.poisson import poisson_pmf, truncated_poisson_support
@@ -184,7 +194,7 @@ def expression_error_gaussian(
     sigma = math.sqrt(variance)
     expected_abs = sigma * math.sqrt(2.0 / math.pi) * math.exp(
         -(mu**2) / (2.0 * variance)
-    ) + mu * (1.0 - 2.0 * stats.norm.cdf(-mu / sigma))
+    ) + mu * (1.0 - 2.0 * special.ndtr(-mu / sigma))
     return float(expected_abs / m)
 
 
@@ -259,16 +269,38 @@ def _poisson_pmf_table(support: np.ndarray, means: np.ndarray) -> np.ndarray:
     return table
 
 
+#: Log-pmf below which ``exp`` returns exactly 0.0.  Its underflow point is
+#: about -745; the margin absorbs rounding in the log-space evaluation.
+_LOG_PMF_UNDERFLOW = -800.0
+
+
+def _nonzero_pmf_width(rest_max: float, width: int) -> int:
+    """Leading columns of a ``width``-wide pmf table of ``Y`` that can be non-zero.
+
+    For ``km > rest`` the log-pmf of ``Y`` at ``km`` grows with ``rest`` and
+    falls with ``km``, so the row with the batch's largest ``rest`` underflows
+    last.  From the first ``km > rest_max`` whose log-pmf is below
+    :data:`_LOG_PMF_UNDERFLOW` on, every row's pmf is exactly 0.0.
+    """
+    km = np.arange(width, dtype=float)
+    mean = max(rest_max, np.finfo(float).tiny)
+    log_pmf = km * math.log(mean) - mean - special.gammaln(km + 1.0)
+    zero = np.flatnonzero((km > rest_max) & (log_pmf < _LOG_PMF_UNDERFLOW))
+    return int(zero[0]) if zero.size else width
+
+
 def _batch_algorithm2(
-    alpha_ij: np.ndarray, alpha_rest: np.ndarray, m: int, k: int
+    alpha_ij: np.ndarray, alpha_rest: np.ndarray, m: int, k: int, width: int
 ) -> np.ndarray:
     """Vectorised Algorithm 2 over a batch of (alpha_ij, alpha_rest) cells.
 
     Builds the truncated pmf table of ``Y = lambda_{i,!=j}`` for the whole
     batch at once and applies the prefix-sum identity column-wise — the same
     arithmetic as :func:`expression_error_algorithm2`, one row per cell.
+    Only the first ``width`` columns of the ``(m - 1) K + 1``-wide table are
+    built; the rest are exactly 0.0 (:func:`_nonzero_pmf_width`).
     """
-    km = np.arange(0, (m - 1) * k + 1)
+    km = np.arange(0, width)
     pmf_rest = _poisson_pmf_table(km, alpha_rest)
     cdf_rest = np.cumsum(pmf_rest, axis=1)
     partial_mean = np.cumsum(km[None, :] * pmf_rest, axis=1)
@@ -276,10 +308,11 @@ def _batch_algorithm2(
 
     kh = np.arange(0, k + 1)
     pmf_h = _poisson_pmf_table(kh, alpha_ij)
-    c = np.minimum((m - 1) * kh, km[-1])
+    c = (m - 1) * kh
+    column = np.minimum(c, width - 1)
     expected_abs = (
-        c[None, :] * (2.0 * cdf_rest[:, c] - cdf_rest[:, -1:])
-        - 2.0 * partial_mean[:, c]
+        c[None, :] * (2.0 * cdf_rest[:, column] - cdf_rest[:, -1:])
+        - 2.0 * partial_mean[:, column]
         + truncated_mean[:, None]
     )
     return (pmf_h * expected_abs).sum(axis=1) / m
@@ -293,7 +326,7 @@ def _batch_gaussian(alpha_ij: np.ndarray, alpha_rest: np.ndarray, m: int) -> np.
     sigma = np.sqrt(safe_var)
     expected_abs = sigma * math.sqrt(2.0 / math.pi) * np.exp(
         -(mu**2) / (2.0 * safe_var)
-    ) + mu * (1.0 - 2.0 * stats.norm.cdf(-mu / sigma))
+    ) + mu * (1.0 - 2.0 * special.ndtr(-mu / sigma))
     expected_abs = np.where(variance <= 0, np.abs(mu), expected_abs)
     return expected_abs / m
 
@@ -302,12 +335,14 @@ def _batch_algorithm2_chunked(
     alpha_ij: np.ndarray, alpha_rest: np.ndarray, m: int, k: int
 ) -> np.ndarray:
     """Apply :func:`_batch_algorithm2` in memory-bounded chunks."""
-    table_width = (m - 1) * k + 1
-    chunk = max(1, BATCH_TABLE_BUDGET // table_width)
+    width = _nonzero_pmf_width(float(alpha_rest.max()), (m - 1) * k + 1)
+    chunk = max(1, BATCH_TABLE_BUDGET // width)
     if alpha_ij.size <= chunk:
-        return _batch_algorithm2(alpha_ij, alpha_rest, m, k)
+        return _batch_algorithm2(alpha_ij, alpha_rest, m, k, width)
     pieces = [
-        _batch_algorithm2(alpha_ij[start : start + chunk], alpha_rest[start : start + chunk], m, k)
+        _batch_algorithm2(
+            alpha_ij[start : start + chunk], alpha_rest[start : start + chunk], m, k, width
+        )
         for start in range(0, alpha_ij.size, chunk)
     ]
     return np.concatenate(pieces)

@@ -104,7 +104,12 @@ class CityModel:
     def __init__(self, config: CityConfig, seed: RandomState = None) -> None:
         self.config = config
         self._rng = default_rng(seed)
-        self._cell_probabilities = config.surface.rasterize(config.raster_resolution)
+        # Exactly the CDF ``Generator.choice(p=...)`` would rebuild on every
+        # call; searching it with the same ``random`` draws gives the same cells
+        # and leaves the generator at the same stream position.
+        cdf = np.cumsum(config.surface.rasterize(config.raster_resolution).ravel())
+        cdf /= cdf[-1]
+        self._cell_cdf = cdf
 
     @property
     def rng(self) -> np.random.Generator:
@@ -176,8 +181,7 @@ class CityModel:
         if count == 0:
             return np.empty(0), np.empty(0)
         resolution = self.config.raster_resolution
-        probabilities = self._cell_probabilities.ravel()
-        cells = self._rng.choice(probabilities.size, size=count, p=probabilities)
+        cells = self._cell_cdf.searchsorted(self._rng.random(count), side="right")
         rows, cols = np.divmod(cells, resolution)
         xs = (cols + self._rng.random(count)) / resolution
         ys = (rows + self._rng.random(count)) / resolution

@@ -8,7 +8,8 @@ validation / test days, and exposes:
   resolution, cached;
 * ``alpha(resolution, slot)`` — the per-cell mean event count used as the
   Poisson mean ``alpha_ij`` of each HGrid (estimated, as in the paper, from
-  the same slot of the training workdays);
+  the same slot of the training workdays), histogrammed from that slot's
+  events alone and not cached;
 * ``supervised_samples(...)`` — (history, target) pairs for training the
   prediction models with closeness / period / trend views.
 """
@@ -166,18 +167,36 @@ class EventDataset:
 
         By default the estimate follows the paper's protocol: the average over
         the same slot of the training-split workdays (slot 16 = 08:00-08:30
-        with 30-minute slots).
+        with 30-minute slots).  Only the events of ``slot`` on ``days`` are
+        histogrammed, so no ``(days, slots, g, g)`` tensor is built or cached
+        at the fine resolutions the search probes; the counts are exact
+        integers, so the mean equals ``counts(resolution)[days, slot].mean(0)``.
         """
         if not 0 <= slot < self.slots_per_day:
             raise ValueError(f"slot must be in [0, {self.slots_per_day}), got {slot}")
+        if resolution <= 0:
+            raise ValueError(f"resolution must be positive, got {resolution}")
         if days is None:
             days = list(self.split.train_days)
-        days = list(days)
+        days = [int(d) for d in days]
+        if not days:
+            raise ValueError("alpha needs at least one day")
+        outside = [d for d in days if not 0 <= d < self._num_days]
+        if outside:
+            raise ValueError(f"days must lie in [0, {self._num_days}), got {outside}")
         if workdays_only:
             filtered = self.workdays(days)
             if filtered:
                 days = filtered
-        tensor = self.counts(resolution)[np.asarray(days, dtype=int), slot]
+        distinct, position = np.unique(days, return_inverse=True)
+        events = self.events
+        in_slot = np.flatnonzero(events.slot == slot)
+        selected = in_slot[np.isin(events.day[in_slot], distinct)]
+        cells = resolution * resolution
+        day_position = np.searchsorted(distinct, events.day[selected])
+        flat = day_position * cells + events.cell_index(resolution, selected)
+        counts = np.bincount(flat, minlength=distinct.size * cells)
+        tensor = counts.reshape(distinct.size, resolution, resolution)[position].astype(float)
         return tensor.mean(axis=0)
 
     def test_counts(self, resolution: int, slot: Optional[int] = None) -> np.ndarray:

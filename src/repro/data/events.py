@@ -146,11 +146,22 @@ class EventLog:
             slots=self.slots,
         )
 
+    def cell_index(self, resolution: int, select: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Flat ``row * resolution + col`` grid cell of each selected event's pick-up.
+
+        Cell ``[r, c]`` of a ``resolution x resolution`` grid covers
+        ``x in [c/res, (c+1)/res)`` and ``y in [r/res, (r+1)/res)``;
+        ``select`` indexes the events (all of them by default).
+        """
+        col = np.minimum((self.x[select] * resolution).astype(int), resolution - 1)
+        row = np.minimum((self.y[select] * resolution).astype(int), resolution - 1)
+        return row * resolution + col
+
     def counts(self, resolution: int, num_days: Optional[int] = None) -> np.ndarray:
         """Histogram the events into a ``(days, slots, resolution, resolution)`` tensor.
 
-        ``resolution`` is the number of grid cells per side; cell ``[r, c]``
-        covers ``x in [c/res, (c+1)/res)`` and ``y in [r/res, (r+1)/res)``.
+        ``resolution`` is the number of grid cells per side (see
+        :meth:`cell_index`).
         """
         if resolution <= 0:
             raise ValueError(f"resolution must be positive, got {resolution}")
@@ -159,9 +170,7 @@ class EventLog:
         shape = (days, slots, resolution, resolution)
         if len(self) == 0 or days == 0:
             return np.zeros(shape, dtype=float)
-        col = np.minimum((self.x * resolution).astype(int), resolution - 1)
-        row = np.minimum((self.y * resolution).astype(int), resolution - 1)
-        flat = ((self.day * slots + self.slot) * resolution + row) * resolution + col
+        flat = (self.day * slots + self.slot) * resolution**2 + self.cell_index(resolution)
         counts = np.bincount(flat, minlength=days * slots * resolution * resolution)
         return counts.reshape(shape).astype(float)
 
@@ -174,9 +183,7 @@ class EventLog:
         shape = (days, slots, resolution, resolution)
         if len(self) == 0 or days == 0:
             return np.zeros(shape, dtype=float)
-        col = np.minimum((self.x * resolution).astype(int), resolution - 1)
-        row = np.minimum((self.y * resolution).astype(int), resolution - 1)
-        flat = ((self.day * slots + self.slot) * resolution + row) * resolution + col
+        flat = (self.day * slots + self.slot) * resolution**2 + self.cell_index(resolution)
         totals = np.bincount(
             flat, weights=self.revenue, minlength=days * slots * resolution * resolution
         )

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.expression import (
+    DEFAULT_K,
     default_k_for,
     expression_error,
     expression_error_algorithm2,
@@ -149,6 +150,77 @@ class TestEdgeCases:
             alpha_ij, 4, rest=alpha_rest, k=40, method="algorithm2"
         )
         np.testing.assert_array_equal(full, chunked)
+
+
+def _full_width_chunked(alpha_ij, alpha_rest, m, k):
+    """Batched Algorithm 2 over the whole ``(m - 1) K + 1``-wide pmf table of ``Y``."""
+    km = np.arange(0, (m - 1) * k + 1)
+    pmf_rest = expression_module._poisson_pmf_table(km, alpha_rest)
+    cdf_rest = np.cumsum(pmf_rest, axis=1)
+    partial_mean = np.cumsum(km[None, :] * pmf_rest, axis=1)
+    truncated_mean = partial_mean[:, -1]
+    kh = np.arange(0, k + 1)
+    pmf_h = expression_module._poisson_pmf_table(kh, alpha_ij)
+    c = np.minimum((m - 1) * kh, km[-1])
+    expected_abs = (
+        c[None, :] * (2.0 * cdf_rest[:, c] - cdf_rest[:, -1:])
+        - 2.0 * partial_mean[:, c]
+        + truncated_mean[:, None]
+    )
+    return (pmf_h * expected_abs).sum(axis=1) / m
+
+
+class TestUnderflowCut:
+    """The pmf table is cut where it underflows; the result must not move a bit."""
+
+    @pytest.mark.parametrize("m", [2, 4, 16, 49, 484])
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    @pytest.mark.parametrize("k", [None, 25])
+    def test_matches_full_width_table(self, m, method, k, monkeypatch):
+        local = np.random.default_rng(m)
+        rest = 10.0 ** local.uniform(-3.0, np.log10(60.0), size=120)
+        alpha = local.uniform(0.0, 1.0, size=120) * rest / (m - 1)
+        alpha[::7] = 0.0
+        rest[::11] = 0.0
+        cut = expression_error_batch(alpha, m, rest=rest, k=k, method=method)
+        monkeypatch.setattr(expression_module, "_batch_algorithm2_chunked", _full_width_chunked)
+        full = expression_error_batch(alpha, m, rest=rest, k=k, method=method)
+        assert np.array_equal(cut, full)
+
+    def test_all_zero_batch_matches_full_width_table(self, monkeypatch):
+        zeros = np.zeros((3, 16))
+        cut = expression_error_batch(zeros, method="exact")
+        monkeypatch.setattr(expression_module, "_batch_algorithm2_chunked", _full_width_chunked)
+        assert np.array_equal(cut, expression_error_batch(zeros, method="exact"))
+
+    def test_auto_mode_tables_are_cut_well_short_of_full_width(self):
+        # The exact path in "auto" mode sees rest < 25 only.
+        full_width = 15 * DEFAULT_K + 1
+        width = expression_module._nonzero_pmf_width(25.0, full_width)
+        assert 25 < width < 500 < full_width
+
+    def test_columns_past_the_width_are_exactly_zero(self):
+        for rest_max in (1e-3, 0.5, 7.0, 24.9, 60.0):
+            km = np.arange(4000)
+            width = expression_module._nonzero_pmf_width(rest_max, km.size)
+            table = expression_module._poisson_pmf_table(km, np.array([rest_max]))
+            assert np.all(table[0, width:] == 0.0)
+
+    def test_chunks_sized_by_cut_width(self, monkeypatch):
+        widths = []
+        original = expression_module._batch_algorithm2
+
+        def recording(alpha_ij, alpha_rest, m, k, width):
+            widths.append((alpha_ij.size, width))
+            return original(alpha_ij, alpha_rest, m, k, width)
+
+        monkeypatch.setattr(expression_module, "_batch_algorithm2", recording)
+        monkeypatch.setattr(expression_module, "BATCH_TABLE_BUDGET", 10_000)
+        alpha = np.full(500, 0.5)
+        expression_error_batch(alpha, 16, rest=np.full(500, 20.0), k=DEFAULT_K, method="exact")
+        width = widths[0][1]
+        assert width < 15 * DEFAULT_K + 1
+        assert max(size for size, _ in widths) == 10_000 // width
 
 
 class TestBlockMode:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.city import CityConfig, CityModel
 from repro.data.intensity import GaussianHotspot, IntensitySurface, UniformBackground
+from repro.data.presets import xian_like
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +106,39 @@ class TestCityModel:
         hot_quadrant = counts[2, 1]  # around (0.4, 0.5+)
         far_corner = counts[3, 3]
         assert hot_quadrant > far_corner
+
+
+class _ChoiceSampledCity(CityModel):
+    """Draws pick-up cells with ``Generator.choice(p=...)``, rebuilding its CDF per call."""
+
+    def _sample_locations(self, count):
+        if count == 0:
+            return np.empty(0), np.empty(0)
+        resolution = self.config.raster_resolution
+        probabilities = self.config.surface.rasterize(resolution).ravel()
+        cells = self.rng.choice(probabilities.size, size=count, p=probabilities)
+        rows, cols = np.divmod(cells, resolution)
+        xs = (cols + self.rng.random(count)) / resolution
+        ys = (rows + self.rng.random(count)) / resolution
+        xs = np.clip(xs, 0.0, np.nextafter(1.0, 0.0))
+        ys = np.clip(ys, 0.0, np.nextafter(1.0, 0.0))
+        return xs, ys
+
+
+class TestLocationSampling:
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_matches_generator_choice_draws_and_stream(self, small_city, seed):
+        model = CityModel(small_city, seed=seed)
+        reference = _ChoiceSampledCity(small_city, seed=seed)
+        log = model.generate_days(3)
+        expected = reference.generate_days(3)
+        for column in ("x", "y", "day", "slot", "dropoff_x", "dropoff_y", "revenue"):
+            assert np.array_equal(getattr(log, column), getattr(expected, column)), column
+        assert model.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_matches_generator_choice_on_a_preset_raster(self):
+        city = xian_like(scale=0.004)
+        model = CityModel(city, seed=5)
+        reference = _ChoiceSampledCity(city, seed=5)
+        assert np.array_equal(model.generate_days(1).x, reference.generate_days(1).x)
+        assert model.rng.bit_generator.state == reference.rng.bit_generator.state

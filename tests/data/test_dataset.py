@@ -91,6 +91,52 @@ class TestEventDataset:
         assert 5 not in workdays and 6 not in workdays
 
 
+def _alpha_from_count_tensor(dataset, resolution, slot, days=None, workdays_only=True):
+    """``alpha`` as the mean of the full ``(days, slots, g, g)`` count tensor."""
+    days = list(dataset.split.train_days) if days is None else list(days)
+    if workdays_only:
+        days = dataset.workdays(days) or days
+    return dataset.counts(resolution)[np.asarray(days, dtype=int), slot].mean(axis=0)
+
+
+class TestAlphaHistogram:
+    @pytest.mark.parametrize("resolution", [1, 4, 13, 32])
+    @pytest.mark.parametrize("slot", [0, 16, 47])
+    @pytest.mark.parametrize(
+        "days, workdays_only",
+        [
+            (None, True),
+            (None, False),
+            ([0, 3, 3, 5, 0, 11], False),
+            ([0, 3, 3, 5, 0, 11], True),
+            ([5, 6], True),  # a weekend only: the filter falls back to both days
+            ([11], True),
+        ],
+    )
+    def test_equals_count_tensor_mean_bit_for_bit(
+        self, tiny_dataset, resolution, slot, days, workdays_only
+    ):
+        alpha = tiny_dataset.alpha(resolution, slot=slot, days=days, workdays_only=workdays_only)
+        expected = _alpha_from_count_tensor(tiny_dataset, resolution, slot, days, workdays_only)
+        assert alpha.dtype == expected.dtype
+        assert np.array_equal(alpha, expected)
+
+    def test_builds_no_count_tensor(self, tiny_dataset):
+        fresh = EventDataset(tiny_dataset.events, tiny_dataset.split, city=tiny_dataset.city)
+        for resolution in (64, 90, 126):
+            fresh.alpha(resolution, slot=16)
+        assert fresh._count_cache == {}
+
+    @pytest.mark.parametrize("days", [[], [-1], [99], [0, 12]])
+    def test_rejects_days_outside_the_log(self, tiny_dataset, days):
+        with pytest.raises(ValueError):
+            tiny_dataset.alpha(8, slot=16, days=days)
+
+    def test_rejects_non_positive_resolution(self, tiny_dataset):
+        with pytest.raises(ValueError):
+            tiny_dataset.alpha(0, slot=16)
+
+
 class TestSupervisedSamples:
     def test_closeness_only_shapes(self, tiny_dataset):
         views, targets = tiny_dataset.supervised_samples(
