@@ -3,14 +3,15 @@
 Static enforcement of the contracts the test suite can only sample:
 bit-identical engine equivalence, byte-stable canonical-JSON caches and
 WALs, RNG-stream-position equality, and the service layer's lock and
-supervision discipline.  Thirteen plugin rules (stdlib ``ast`` only — no
-new dependencies) walk the source and emit ``path:line:col RULE-ID
-message`` findings; a committed baseline lets the gate start green and
-ratchet.
+supervision discipline.  Ten plugin rules (stdlib ``ast`` only — no new
+dependencies) walk the source and emit ``path:line:col RULE-ID message``
+findings; a committed baseline lets the gate start green and ratchet.
 
-Per-module rules see one parsed file; whole-program rules (marked *) run
-over the project call graph built by :mod:`repro.lint.callgraph` and can
-follow locks, blocking calls and RNG provenance across call edges.
+Per-module rules see one parsed file; the project rules (marked *) run over
+the per-function RNG provenance summaries built by :mod:`repro.lint.rngflow`
+and follow generator returns across helper functions.  The lock inventory,
+lock nesting and blocking-under-lock guarantees are structural tests
+(``tests/lint/test_service_race_free.py``), not rules.
 
 Rules
 -----
@@ -21,16 +22,12 @@ DET004   non-canonical ``json.dump(s)``
 DET005   set-order iteration in engine/metrics paths
 DET006 * mixed RNG stream provenance / OS-entropy generator roots
 DET007 * spawned child-stream order tied to dict/set iteration
-CONC001  unlocked writes to lock-guarded service state
+CONC001  unlocked writes or reads of lock-guarded ``self._*`` state
 CONC002  bare/broad ``except`` without re-raise or supervisor capture
-CONC003 * lock-order inversion across reachable paths
-CONC004 * blocking call (wait/join/sleep/IO) while holding a lock
-CONC005 * lock-guarded attribute read without the lock
 API001   malformed / unknown / unjustified / unused suppressions
 
 Use ``repro lint`` or ``python -m repro.lint`` from the command line, or
-:func:`run_lint` programmatically.  ``repro lint --graph DOT|JSON`` dumps
-the call/lock graph the whole-program rules reason over.
+:func:`run_lint` programmatically.
 """
 
 from repro.lint.baseline import (
@@ -41,13 +38,13 @@ from repro.lint.baseline import (
     write_baseline,
 )
 from repro.lint.base import ImportMap, InvariantRule, ModuleContext, ProjectRule
-from repro.lint.callgraph import (
+from repro.lint.findings import Finding, assign_fingerprints
+from repro.lint.rngflow import (
     ModuleSummary,
     ProjectIndex,
     module_name_for,
     summarize_module,
 )
-from repro.lint.findings import Finding, assign_fingerprints
 from repro.lint.runner import (
     ALL_RULES,
     DEFAULT_ROOTS,
@@ -56,11 +53,9 @@ from repro.lint.runner import (
     LintReport,
     LintUsageError,
     build_arg_parser,
-    build_graph,
     list_rules,
     main,
     render_github,
-    render_graph,
     render_text,
     run_from_args,
     run_lint,
@@ -94,14 +89,12 @@ __all__ = [
     "assign_fingerprints",
     "baseline_payload",
     "build_arg_parser",
-    "build_graph",
     "list_rules",
     "load_baseline",
     "main",
     "module_name_for",
     "parse_suppressions",
     "render_github",
-    "render_graph",
     "render_text",
     "run_from_args",
     "run_lint",

@@ -95,7 +95,7 @@ def resolve_call(func: ast.expr, imports: ImportMap) -> Optional[str]:
 
 
 #: Constructors whose result is treated as a lock for ``with self._x:``.
-#: Shared by the per-module CONC001 rule and the whole-program lock analysis.
+#: Shared by the CONC001 rule and the structural lock-inventory tests.
 LOCK_FACTORIES = frozenset(
     {
         "threading.Lock",
@@ -188,13 +188,12 @@ class InvariantRule:
 
 
 class ProjectRule(InvariantRule):
-    """Base class for whole-program rules (CONC003–005, DET006–007).
+    """Base class for project rules (DET006–007).
 
     A project rule sees the entire scanned tree at once — the
-    :class:`~repro.lint.callgraph.ProjectIndex` built from every module's
-    summary — instead of one parsed file, so it can reason across call
-    edges: lock sets propagated through the call graph, RNG provenance
-    through helper returns, reads and writes split across threads.
+    :class:`~repro.lint.rngflow.ProjectIndex` built from every module's
+    summary — instead of one parsed file, so it can follow RNG provenance
+    through helper returns defined in other modules.
 
     ``scope``/``exclude`` still apply, but to the *findings*: the index is
     always built from every scanned file (cross-module propagation must see
@@ -208,7 +207,7 @@ class ProjectRule(InvariantRule):
     def check_project(self, index) -> List[Finding]:
         """Return this rule's findings for the whole program.
 
-        ``index`` is a :class:`repro.lint.callgraph.ProjectIndex` (typed
+        ``index`` is a :class:`repro.lint.rngflow.ProjectIndex` (typed
         loosely here to keep :mod:`base` import-cycle-free).
         """
         raise NotImplementedError

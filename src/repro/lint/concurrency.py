@@ -1,24 +1,26 @@
 """Concurrency rules: unlocked shared-state writes and swallowed exceptions.
 
 ========  ============================================================
-CONC001   writes to lock-guarded ``self._*`` attributes outside the lock
+CONC001   writes or reads of lock-guarded ``self._*`` attributes outside
+          the lock
 CONC002   bare/broad ``except`` without re-raise or supervisor capture
 ========  ============================================================
 
-CONC001 is self-calibrating per class rather than annotation-driven: within
-each audited class (the service's concurrency-bearing ones), any ``self._*``
-attribute that is *ever* assigned inside a ``with self.<lock>:`` block is
-considered lock-guarded, and every other assignment to it — outside a lock
-block, in any method but ``__init__`` — is a finding.  That mirrors how the
-code is actually written: the match loop and the admission path both take
-their locks around the mutations they share, so an unlocked write to the
-same attribute is either a new race or needs an explicit justification.
+CONC001 is self-calibrating per class rather than annotation-driven.  It
+audits every class whose ``__init__`` binds a ``self`` attribute to a
+threading lock or condition.  Within such a class, any ``self._*``
+attribute that is *ever* mutated inside a ``with self.<lock>:`` block is
+lock-guarded, and every unlocked access to it in any method but
+``__init__`` is a finding: an unlocked write is a lost update, and an
+unlocked read can observe a torn or stale snapshot of state another thread
+publishes under the lock.  Construction happens-before every thread that
+can observe the object, so ``__init__`` is exempt.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.lint.base import (
     ImportMap,
@@ -95,8 +97,11 @@ def _assigned_self_attrs(stmt: ast.stmt) -> List[Tuple[str, ast.AST]]:
 def _mutated_self_attrs(node: ast.AST) -> List[Tuple[str, ast.AST]]:
     """All ``self._*`` writes performed directly by ``node``.
 
-    Node-local on purpose: :meth:`UnlockedSharedStateRule._scan` visits every
-    node, so nested mutations are found when recursion reaches them.
+    Each anchor is the written ``self._*`` attribute node itself (for a
+    mutator call, its receiver), so the scan can tell a write's attribute
+    load apart from a read.  Node-local on purpose:
+    :meth:`UnlockedSharedStateRule._scan` visits every node, so nested
+    mutations are found when recursion reaches them.
     """
     out = _assigned_self_attrs(node) if isinstance(node, ast.stmt) else []
     if (
@@ -106,24 +111,21 @@ def _mutated_self_attrs(node: ast.AST) -> List[Tuple[str, ast.AST]]:
     ):
         attr = _self_attr(node.func.value)
         if attr.startswith("_"):
-            out.append((attr, node))
+            out.append((attr, node.func.value))
     return out
 
 
 class UnlockedSharedStateRule(InvariantRule):
-    """CONC001 — unlocked writes to lock-guarded service state."""
+    """CONC001 — unlocked writes or reads of lock-guarded state."""
 
     rule_id = "CONC001"
-    title = "write to a lock-guarded self._attr outside the lock"
-    #: Concurrency-bearing classes under audit (shared by client threads,
-    #: the HTTP pool and the match loop).
-    audited_classes = ("AdmissionScheduler", "DispatchService")
+    title = "write or read of a lock-guarded self._attr outside the lock"
 
     def check(self, tree: ast.AST, context: ModuleContext) -> List[Finding]:
         imports = ImportMap.from_tree(tree)
         findings: List[Finding] = []
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name in self.audited_classes:
+            if isinstance(node, ast.ClassDef):
                 findings.extend(self._check_class(node, context, imports))
         return findings
 
@@ -136,50 +138,53 @@ class UnlockedSharedStateRule(InvariantRule):
             stmt
             for stmt in cls.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and stmt.name != "__init__"
         ]
-        lock_attrs = self._lock_attributes(methods, imports)
+        lock_attrs = self._lock_attributes(cls, imports)
         if not lock_attrs:
             return []
         guarded: Set[str] = set()
         for method in methods:
-            if method.name != "__init__":
-                self._scan(method, lock_attrs, in_lock=False, guarded=guarded, sink=None)
+            self._scan(method, lock_attrs, False, guarded, None, set())
         if not guarded:
             return []
+        lock = f"`with self.{sorted(lock_attrs)[0]}`"
         findings: List[Finding] = []
         for method in methods:
-            if method.name == "__init__":
-                # Construction happens-before every thread that can observe
-                # the object; unlocked writes there are fine.
-                continue
-            sink: List[Tuple[str, ast.AST]] = []
-            self._scan(method, lock_attrs, in_lock=False, guarded=guarded, sink=sink)
-            for attr, anchor in sink:
+            sink: List[Tuple[str, str, ast.AST]] = []
+            self._scan(method, lock_attrs, False, guarded, sink, set())
+            for verb, attr, anchor in sink:
                 findings.append(
                     self.finding(
                         context,
                         anchor,
-                        f"{cls.name}.{attr} is written under "
-                        f"`with self.{sorted(lock_attrs)[0]}` elsewhere but "
-                        "mutated here without the lock; take the lock or "
+                        f"{cls.name}.{attr} is written under {lock} elsewhere "
+                        f"but {verb} here without the lock; take the lock or "
                         "suppress with a justification",
                     )
                 )
         return findings
 
-    def _lock_attributes(self, methods: List[ast.FunctionDef], imports: ImportMap) -> Set[str]:
-        """``self._x`` attributes bound to a threading lock/condition."""
+    @staticmethod
+    def _lock_attributes(cls: ast.ClassDef, imports: ImportMap) -> Set[str]:
+        """``self._x`` attributes ``__init__`` binds to a lock/condition."""
         locks: Set[str] = set()
-        init = next((m for m in methods if m.name == "__init__"), None)
+        init = next(
+            (
+                stmt
+                for stmt in cls.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+            ),
+            None,
+        )
         if init is None:
             return locks
         for stmt in ast.walk(init):
             if not isinstance(stmt, ast.Assign) or not isinstance(stmt.value, ast.Call):
                 continue
-            resolved = resolve_call(stmt.value.func, imports)
             # Both ``threading.Condition(...)`` and a from-imported bare
             # ``Condition(...)`` count as lock constructors.
-            if is_lock_factory(resolved):
+            if is_lock_factory(resolve_call(stmt.value.func, imports)):
                 for target in stmt.targets:
                     attr = _self_attr(target)
                     if attr:
@@ -193,12 +198,17 @@ class UnlockedSharedStateRule(InvariantRule):
         in_lock: bool,
         guarded: Set[str],
         sink,
+        written: Set[int],
     ) -> None:
         """One recursive pass serving both collection and detection.
 
-        With ``sink=None`` it *collects*: attributes assigned while a lock is
-        held join ``guarded``.  With a sink list it *detects*: assignments to
-        guarded attributes outside any lock block are appended.
+        With ``sink=None`` it *collects*: attributes mutated while a lock is
+        held join ``guarded``.  With a sink list it *detects*: mutations and
+        loads of guarded attributes outside any lock block are appended as
+        ``(verb, attr, anchor)`` with verb ``mutated`` or ``read``.
+        ``written`` holds the ids of attribute nodes already counted as
+        writes, so a store target or a mutator's receiver is never reported
+        a second time as a read.
         """
         for child in ast.iter_child_nodes(node):
             child_in_lock = in_lock
@@ -209,14 +219,24 @@ class UnlockedSharedStateRule(InvariantRule):
                 )
                 child_in_lock = in_lock or holds
             for attr, anchor in _mutated_self_attrs(child):
+                written.add(id(anchor))
                 if attr in lock_attrs:
                     continue
                 if child_in_lock:
                     if sink is None:
                         guarded.add(attr)
                 elif sink is not None and attr in guarded:
-                    sink.append((attr, anchor))
-            self._scan(child, lock_attrs, child_in_lock, guarded, sink)
+                    sink.append(("mutated", attr, anchor))
+            if (
+                sink is not None
+                and not child_in_lock
+                and isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, ast.Load)
+                and id(child) not in written
+                and _self_attr(child) in guarded
+            ):
+                sink.append(("read", child.attr, child))
+            self._scan(child, lock_attrs, child_in_lock, guarded, sink, written)
 
 
 class SwallowedExceptionRule(InvariantRule):

@@ -6,15 +6,15 @@ follow the repo convention: ``0`` clean, ``1`` new findings, ``2`` usage or
 environment errors.
 
 The run is two-phase.  Phase one scans files independently — parse, run the
-per-module rules, extract suppression directives, and (when any whole-program
-rule is active) build the file's picklable
-:class:`~repro.lint.callgraph.ModuleSummary`.  Because a file scan shares no
+per-module rules, extract suppression directives, and (when a project rule
+is active) build the file's picklable
+:class:`~repro.lint.rngflow.ModuleSummary`.  Because a file scan shares no
 state with any other, ``--jobs N`` fans phase one across a process pool;
 results are merged back in input order, so the report is byte-identical to a
 serial run.  Phase two runs in the parent: the summaries become a
-:class:`~repro.lint.callgraph.ProjectIndex`, the :class:`ProjectRule`\\ s
-(CONC003–005, DET006–007) run over it, and suppressions apply to the combined
-module+project findings so ``# repro-lint: disable=CONC003`` works exactly
+:class:`~repro.lint.rngflow.ProjectIndex`, the :class:`ProjectRule`\\ s
+(DET006–007) run over it, and suppressions apply to the combined
+module+project findings so ``# repro-lint: disable=DET006`` works exactly
 like it does for the per-module rules.
 """
 
@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.baseline import BaselineError, load_baseline, write_baseline
-from repro.lint.callgraph import ModuleSummary, ProjectIndex, summarize_module
 from repro.lint.concurrency import SwallowedExceptionRule, UnlockedSharedStateRule
 from repro.lint.determinism import (
     CanonicalJsonRule,
@@ -41,10 +40,14 @@ from repro.lint.determinism import (
     WallClockRule,
 )
 from repro.lint.base import InvariantRule, ModuleContext, ProjectRule
-from repro.lint.escape import ThreadEscapeRule
 from repro.lint.findings import Finding, assign_fingerprints
-from repro.lint.locks import BlockingUnderLockRule, LockOrderRule
-from repro.lint.rngflow import RngProvenanceRule, SpawnOrderRule
+from repro.lint.rngflow import (
+    ModuleSummary,
+    ProjectIndex,
+    RngProvenanceRule,
+    SpawnOrderRule,
+    summarize_module,
+)
 from repro.lint.suppressions import (
     API_RULE_ID,
     Suppression,
@@ -87,9 +90,6 @@ ALL_RULES: Tuple[InvariantRule, ...] = (
     SpawnOrderRule(),
     UnlockedSharedStateRule(),
     SwallowedExceptionRule(),
-    LockOrderRule(),
-    BlockingUnderLockRule(),
-    ThreadEscapeRule(),
     _SuppressionHygieneRule(),
 )
 
@@ -354,26 +354,6 @@ def run_lint(
     )
 
 
-def build_graph(
-    root: Path, paths: Optional[Sequence[str]] = None, jobs: int = 1
-) -> Tuple[ProjectIndex, List[Tuple[str, str, str, int]]]:
-    """The project index plus lock-order edges for ``--graph`` dumps."""
-    root = Path(root).resolve()
-    files = _discover_files(root, paths)
-    scans = _run_scans(root, files, (), True, jobs)
-    index = ProjectIndex([scan.summary for scan in scans if scan.summary is not None])
-    edges = LockOrderRule().graph_edges(index)
-    return index, edges
-
-
-def render_graph(root: Path, paths: Optional[Sequence[str]], fmt: str, jobs: int = 1) -> str:
-    """Render the call/lock graph as canonical JSON or GraphViz DOT."""
-    index, edges = build_graph(root, paths, jobs)
-    if fmt == "json":
-        return canonical_json(index.to_payload(edges))
-    return index.to_dot(edges)
-
-
 def render_text(report: LintReport) -> str:
     """Human-readable multi-line report (one ``path:line:col`` line each)."""
     out: List[str] = [finding.render() for finding in report.findings]
@@ -466,14 +446,6 @@ def build_arg_parser(parser: Optional[argparse.ArgumentParser] = None) -> argpar
         ),
     )
     parser.add_argument(
-        "--graph",
-        choices=("dot", "json"),
-        type=str.lower,
-        default=None,
-        metavar="{DOT,JSON}",
-        help="dump the call/lock graph instead of linting, then exit 0",
-    )
-    parser.add_argument(
         "--baseline",
         choices=("on", "off", "regenerate"),
         default="on",
@@ -515,13 +487,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(list_rules())
         return 0
     jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
-    if getattr(args, "graph", None):
-        try:
-            print(render_graph(Path(args.root), args.paths or None, args.graph, jobs))
-        except (LintUsageError, OSError) as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        return 0
     try:
         report = run_lint(
             root=Path(args.root),

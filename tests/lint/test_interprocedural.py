@@ -1,418 +1,24 @@
-"""Positive and negative fixtures for the whole-program rules.
+"""Positive and negative fixtures for the project rules and their summaries.
 
-CONC003 (lock-order inversion), CONC004 (blocking under a lock), CONC005
-(unlocked read of guarded state), DET006 (mixed RNG provenance) and DET007
-(spawn order tied to dict/set iteration) all run over the project call
-graph, so the fixtures here exercise cross-method and cross-class
-propagation, not just single-function syntax.
+DET006 (mixed RNG provenance) and DET007 (spawn order tied to dict/set
+iteration) run over the per-function RNG summaries of every scanned file,
+so the fixtures here exercise provenance through helper returns, not just
+single-function syntax.
 """
 
 from __future__ import annotations
 
+import ast
+import pickle
 from textwrap import dedent
 
-SERVICE_PATH = "src/repro/service/module_under_test.py"
+from repro.lint import ModuleContext, ProjectIndex, module_name_for, summarize_module
+
 ENGINE_PATH = "src/repro/dispatch/module_under_test.py"
 
 
 def rules_fired(report):
     return sorted({finding.rule for finding in report.findings})
-
-
-# --------------------------------------------------------------------- #
-# CONC003 — lock-order inversion
-# --------------------------------------------------------------------- #
-
-
-def test_conc003_flags_intra_class_inversion(lint_tree):
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import threading
-
-
-                class Service:
-                    def __init__(self):
-                        self._a = threading.Lock()
-                        self._b = threading.Lock()
-
-                    def forward(self):
-                        with self._a:
-                            with self._b:
-                                pass
-
-                    def backward(self):
-                        with self._b:
-                            with self._a:
-                                pass
-                """
-            )
-        },
-        rules=["CONC003"],
-    )
-    # One finding per direction, each pointing at the other witness.
-    assert len(report.findings) == 2
-    assert rules_fired(report) == ["CONC003"]
-    assert all("lock-order inversion" in f.message for f in report.findings)
-
-
-def test_conc003_follows_call_edges_within_a_class(lint_tree):
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import threading
-
-
-                class Service:
-                    def __init__(self):
-                        self._a = threading.Lock()
-                        self._b = threading.Lock()
-
-                    def _inner(self):
-                        with self._b:
-                            pass
-
-                    def outer(self):
-                        with self._a:
-                            self._inner()
-
-                    def reversed_path(self):
-                        with self._b:
-                            with self._a:
-                                pass
-                """
-            )
-        },
-        rules=["CONC003"],
-    )
-    assert len(report.findings) == 2
-    assert rules_fired(report) == ["CONC003"]
-
-
-def test_conc003_flags_cross_class_inversion_via_attr_types(lint_tree):
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import threading
-
-
-                class Worker:
-                    def __init__(self, store):
-                        self._wlock = threading.Lock()
-                        self._store: Store = store
-
-                    def flush(self):
-                        with self._wlock:
-                            self._store.put()
-
-                    def poke(self):
-                        with self._wlock:
-                            pass
-
-
-                class Store:
-                    def __init__(self, worker):
-                        self._slock = threading.Lock()
-                        self._worker: Worker = worker
-
-                    def put(self):
-                        with self._slock:
-                            pass
-
-                    def rebalance(self):
-                        with self._slock:
-                            self._worker.poke()
-                """
-            )
-        },
-        rules=["CONC003"],
-    )
-    assert len(report.findings) == 2
-    assert rules_fired(report) == ["CONC003"]
-    assert any("Worker._wlock" in f.message for f in report.findings)
-    assert any("Store._slock" in f.message for f in report.findings)
-
-
-def test_conc003_quiet_when_order_is_consistent(lint_tree):
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import threading
-
-
-                class Service:
-                    def __init__(self):
-                        self._a = threading.Lock()
-                        self._b = threading.Lock()
-
-                    def one(self):
-                        with self._a:
-                            with self._b:
-                                pass
-
-                    def two(self):
-                        with self._a:
-                            with self._b:
-                                pass
-                """
-            )
-        },
-        rules=["CONC003"],
-    )
-    assert report.findings == []
-
-
-def test_conc003_condition_alias_is_not_a_second_lock(lint_tree):
-    # _ready wraps _lock: waiting on one while "holding" the other is the
-    # same primitive, not an ordering between two locks.
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import threading
-
-
-                class Service:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self._ready = threading.Condition(self._lock)
-
-                    def take(self):
-                        with self._lock:
-                            with self._ready:
-                                pass
-
-                    def put(self):
-                        with self._ready:
-                            with self._lock:
-                                pass
-                """
-            )
-        },
-        rules=["CONC003"],
-    )
-    assert report.findings == []
-
-
-# --------------------------------------------------------------------- #
-# CONC004 — blocking call under a lock
-# --------------------------------------------------------------------- #
-
-
-def test_conc004_flags_sleep_and_join_under_lock(lint_tree):
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import threading
-                import time
-
-
-                class Service:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self._thread = threading.Thread(target=print)
-
-                    def nap(self):
-                        with self._lock:
-                            time.sleep(0.5)
-
-                    def stop(self):
-                        with self._lock:
-                            self._thread.join()
-                """
-            )
-        },
-        rules=["CONC004"],
-    )
-    assert len(report.findings) == 2
-    assert rules_fired(report) == ["CONC004"]
-
-
-def test_conc004_flags_wait_with_second_lock_held(lint_tree):
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import threading
-
-
-                class Service:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self._ready = threading.Condition(self._lock)
-                        self._other = threading.Lock()
-
-                    def take(self):
-                        with self._other:
-                            with self._ready:
-                                self._ready.wait()
-                """
-            )
-        },
-        rules=["CONC004"],
-    )
-    assert len(report.findings) == 1
-    assert "releases only its own lock" in report.findings[0].message
-
-
-def test_conc004_allows_wait_holding_only_its_own_lock(lint_tree):
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import threading
-
-
-                class Service:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self._ready = threading.Condition(self._lock)
-
-                    def take(self):
-                        with self._ready:
-                            self._ready.wait()
-                """
-            )
-        },
-        rules=["CONC004"],
-    )
-    assert report.findings == []
-
-
-def test_conc004_propagates_blocking_through_call_edges(lint_tree):
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import os
-                import threading
-
-
-                class Writer:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self._fd = 3
-
-                    def _flush(self):
-                        os.fsync(self._fd)
-
-                    def append(self, record):
-                        with self._lock:
-                            self._flush()
-                """
-            )
-        },
-        rules=["CONC004"],
-    )
-    assert len(report.findings) == 1
-    finding = report.findings[0]
-    assert "os.fsync" in finding.message
-    assert "_flush" in finding.message
-
-
-def test_conc004_quiet_for_blocking_calls_outside_locks(lint_tree):
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import threading
-                import time
-
-
-                class Service:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-
-                    def nap(self):
-                        time.sleep(0.5)
-                        with self._lock:
-                            pass
-                """
-            )
-        },
-        rules=["CONC004"],
-    )
-    assert report.findings == []
-
-
-# --------------------------------------------------------------------- #
-# CONC005 — unlocked read of lock-guarded state
-# --------------------------------------------------------------------- #
-
-_ESCAPE_TEMPLATE = """
-import threading
-
-
-class Service:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def bump(self):
-        with self._lock:
-            self._count += 1
-
-    def snapshot(self):
-{snapshot_body}
-"""
-
-
-def test_conc005_flags_unlocked_read_of_guarded_attr(lint_tree):
-    source = _ESCAPE_TEMPLATE.format(snapshot_body="        return self._count\n")
-    report = lint_tree({SERVICE_PATH: source}, rules=["CONC005"])
-    assert len(report.findings) == 1
-    finding = report.findings[0]
-    assert finding.rule == "CONC005"
-    assert "_count" in finding.message
-
-
-def test_conc005_allows_reads_under_the_lock_and_in_init(lint_tree):
-    source = _ESCAPE_TEMPLATE.format(
-        snapshot_body="        with self._lock:\n            return self._count\n"
-    )
-    report = lint_tree({SERVICE_PATH: source}, rules=["CONC005"])
-    assert report.findings == []
-
-
-def test_conc005_ignores_attrs_never_written_under_a_lock(lint_tree):
-    # _label is only ever written in __init__ / unlocked paths — it is not
-    # part of the lock-guarded state, so bare reads of it are fine.
-    report = lint_tree(
-        {
-            SERVICE_PATH: dedent(
-                """
-                import threading
-
-
-                class Service:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self._label = "svc"
-                        self._count = 0
-
-                    def bump(self):
-                        with self._lock:
-                            self._count += 1
-
-                    def name(self):
-                        return self._label
-                """
-            )
-        },
-        rules=["CONC005"],
-    )
-    assert report.findings == []
-
-
-def test_conc005_scope_excludes_non_service_code(lint_tree):
-    source = _ESCAPE_TEMPLATE.format(snapshot_body="        return self._count\n")
-    report = lint_tree({ENGINE_PATH: source}, rules=["CONC005"])
-    assert report.findings == []
 
 
 # --------------------------------------------------------------------- #
@@ -510,6 +116,67 @@ def test_det006_resolves_fresh_roots_through_helper_returns(lint_tree):
     assert any("mixed stream provenance" in f.message for f in report.findings)
 
 
+HELPER_PATH = "src/repro/dispatch/helpers_under_test.py"
+
+
+def test_cross_module_calls_resolve_through_from_imports(lint_tree):
+    report = lint_tree(
+        {
+            HELPER_PATH: dedent(
+                """
+                import numpy as np
+
+
+                def mint():
+                    return np.random.default_rng(7)
+                """
+            ),
+            ENGINE_PATH: dedent(
+                """
+                from repro.dispatch.helpers_under_test import mint
+
+
+                def blend(rng):
+                    extra = mint()
+                    return rng.normal() + extra.normal()
+                """
+            ),
+        },
+        rules=["DET006"],
+    )
+    assert rules_fired(report) == ["DET006"]
+    assert {f.path for f in report.findings} == {ENGINE_PATH}
+    assert any("mixed stream provenance" in f.message for f in report.findings)
+
+
+def test_det006_quiet_when_imported_helper_returns_the_callers_stream(lint_tree):
+    report = lint_tree(
+        {
+            HELPER_PATH: dedent(
+                """
+                from repro.utils.rng import spawn_rng
+
+
+                def child(rng):
+                    return spawn_rng(rng, 1)[0]
+                """
+            ),
+            ENGINE_PATH: dedent(
+                """
+                from repro.dispatch.helpers_under_test import child
+
+
+                def blend(rng):
+                    extra = child(rng)
+                    return rng.normal() + extra.normal()
+                """
+            ),
+        },
+        rules=["DET006"],
+    )
+    assert report.findings == []
+
+
 # --------------------------------------------------------------------- #
 # DET007 — spawn order vs dict/set iteration
 # --------------------------------------------------------------------- #
@@ -586,26 +253,113 @@ def test_det007_quiet_for_ordered_iteration(lint_tree):
 
 
 def test_project_findings_are_suppressible(lint_tree):
-    source = _ESCAPE_TEMPLATE.format(
-        snapshot_body=(
-            "        # repro-lint: disable=CONC005 -- monotonic counter; a stale read is acceptable here\n"
-            "        return self._count\n"
-        )
+    report = lint_tree(
+        {
+            ENGINE_PATH: dedent(
+                """
+                import numpy as np
+
+
+                def sample():
+                    # repro-lint: disable=DET006 -- fixture: an entropy root on purpose
+                    rng = np.random.default_rng()
+                    return rng.normal()
+                """
+            )
+        },
+        rules=["DET006"],
     )
-    report = lint_tree({SERVICE_PATH: source}, rules=["CONC005"])
     assert report.findings == []
     assert len(report.suppressed) == 1
-    assert report.suppressed[0].rule == "CONC005"
+    assert report.suppressed[0].rule == "DET006"
 
 
 def test_unused_suppression_of_project_rule_is_flagged(lint_tree):
-    source = _ESCAPE_TEMPLATE.format(
-        snapshot_body=(
-            "        # repro-lint: disable=CONC005 -- stale justification\n"
-            "        with self._lock:\n"
-            "            return self._count\n"
-        )
+    report = lint_tree(
+        {
+            ENGINE_PATH: dedent(
+                """
+                from repro.utils.rng import spawn_rng
+
+
+                def assign(rng, regions):
+                    streams = {}
+                    for region in sorted(set(regions)):
+                        # repro-lint: disable=DET007 -- stale justification
+                        streams[region] = spawn_rng(rng, 1)
+                    return streams
+                """
+            )
+        },
+        rules=["DET007", "API001"],
     )
-    report = lint_tree({SERVICE_PATH: source}, rules=["CONC005", "API001"])
     assert rules_fired(report) == ["API001"]
     assert "unused suppression" in report.findings[0].message
+
+
+# --------------------------------------------------------------------- #
+# Module summaries
+# --------------------------------------------------------------------- #
+
+
+def test_module_name_for_strips_src_and_init():
+    assert module_name_for("src/repro/service/server.py") == "repro.service.server"
+    assert module_name_for("src/repro/lint/__init__.py") == "repro.lint"
+    assert module_name_for("benchmarks/bench_clock.py") == "benchmarks.bench_clock"
+
+
+def test_module_summary_round_trips_through_pickle():
+    # ``--jobs N`` builds summaries in worker processes.
+    source = dedent(
+        """
+        import numpy as np
+
+
+        class Sampler:
+            def draw(self, rng):
+                return np.random.default_rng(3).normal() + rng.normal()
+        """
+    )
+    context = ModuleContext(
+        path=ENGINE_PATH, source=source, lines=tuple(source.splitlines())
+    )
+    summary = summarize_module(ast.parse(source), context)
+    (fn,) = summary.functions
+    assert fn.qualname == "repro.dispatch.module_under_test.Sampler.draw"
+    assert fn.rng_params == ("rng",)
+    assert [event.kind for event in fn.rng_events] == ["create-fresh", "draw"]
+    assert pickle.loads(pickle.dumps(summary)) == summary
+
+
+def test_project_index_is_independent_of_summary_order():
+    def summary(path, source):
+        source = dedent(source)
+        context = ModuleContext(path=path, source=source, lines=tuple(source.splitlines()))
+        return summarize_module(ast.parse(source), context)
+
+    alpha = summary(
+        "src/repro/alpha.py",
+        """
+        import numpy as np
+
+
+        def helper(seed):
+            return np.random.default_rng(seed)
+        """,
+    )
+    beta = summary(
+        "src/repro/beta.py",
+        """
+        from repro.alpha import helper
+
+
+        def run(rng):
+            extra = helper(2)
+            return rng.normal() + extra.normal()
+        """,
+    )
+    forward = ProjectIndex([alpha, beta]).functions
+    backward = ProjectIndex([beta, alpha]).functions
+    assert list(forward.items()) == list(backward.items())
+    assert list(forward) == ["repro.alpha.helper", "repro.beta.run"]
+    assert forward["repro.beta.run"].rng_events[-1].root == "ret:repro.alpha.helper"

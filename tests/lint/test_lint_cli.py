@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -62,12 +63,48 @@ def test_list_rules_covers_every_registered_rule(capsys):
         assert rule_id in out
 
 
+def test_list_rules_is_exactly_the_rule_set(capsys):
+    assert repro_main(["lint", "--list-rules"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == [
+        *(f"DET00{n}" for n in range(1, 8)),
+        "CONC001",
+        "CONC002",
+        "API001",
+    ]
+
+
+def test_architecture_rule_table_matches_the_registry(repo_root):
+    """Drift guard: docs/architecture.md documents exactly the registered rules."""
+    doc = (repo_root / "docs" / "architecture.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| `([A-Z]+\d{3})`(?: \*)? \|", doc, flags=re.MULTILINE)
+    assert sorted(documented) == sorted(RULES_BY_ID)
+
+
 def test_injected_wall_clock_read_fails_a_repo_copy(tmp_path, repo_root):
     """The CI negative test, in miniature: plant time.time() in the engine."""
     engine = repo_root / "src" / "repro" / "dispatch" / "engine.py"
     doctored = engine.read_text(encoding="utf-8") + "\nimport time\n_CANARY = time.time()\n"
     _write(tmp_path, "src/repro/dispatch/engine.py", doctored)
     assert repro_main(["lint", "--root", str(tmp_path)]) == 1
+
+
+def test_unlocked_watermark_read_fails_a_repo_copy(tmp_path, repo_root, capsys):
+    """The CI CONC001 canary: a bare read of scheduler state must fail the gate."""
+    scheduler = repo_root / "src" / "repro" / "service" / "scheduler.py"
+    anchor = "    def set_resolved(self, resolved: int) -> None:\n"
+    source = scheduler.read_text(encoding="utf-8")
+    assert anchor in source
+    doctored = source.replace(
+        anchor,
+        "    def _lint_canary_peek(self) -> float:\n"
+        "        return self._watermark\n\n" + anchor,
+    )
+    _write(tmp_path, "src/repro/service/scheduler.py", doctored)
+    assert repro_main(["lint", "--root", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "CONC001" in out
+    assert "AdmissionScheduler._watermark" in out
 
 
 def test_repo_is_lint_clean(repo_root):
@@ -133,7 +170,7 @@ def test_symlinked_file_is_scanned_once(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- #
-# --jobs, --format github, --graph
+# --jobs, --format github
 # --------------------------------------------------------------------- #
 
 
@@ -185,23 +222,3 @@ def test_github_format_emits_workflow_annotations(tmp_path, capsys):
     assert f"::error file={ENGINE_PATH},line=4,col=12,title=DET001::" in out
     assert "::error file=src/repro/service/svc.py" in out
     assert "new finding(s)" in out.splitlines()[-1]
-
-
-def test_graph_json_dump_exits_zero_and_is_canonical(tmp_path, capsys):
-    _tree_with_findings(tmp_path)
-    assert repro_main(["lint", "--root", str(tmp_path), "--graph", "json"]) == 0
-    raw = capsys.readouterr().out
-    payload = json.loads(raw)
-    assert payload["tool"] == "repro-lint-graph"
-    assert "repro.service.svc.Service.bump" in payload["functions"]
-    assert (
-        "repro.service.svc.Service._lock" in payload["locks"]["tokens"]
-    )
-    assert raw.strip() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def test_graph_dot_dump_exits_zero(tmp_path, capsys):
-    _tree_with_findings(tmp_path)
-    assert repro_main(["lint", "--root", str(tmp_path), "--graph", "dot"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("digraph repro_lint {")

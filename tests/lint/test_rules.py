@@ -279,7 +279,7 @@ def test_det005_allows_sorted_sets_membership_and_out_of_scope(lint_tree):
 
 
 # --------------------------------------------------------------------- #
-# CONC001 — unlocked shared-state writes
+# CONC001 — unlocked writes and reads of lock-guarded state
 # --------------------------------------------------------------------- #
 
 _SCHEDULER_TEMPLATE = """
@@ -319,10 +319,22 @@ def test_conc001_allows_locked_writes_and_init(lint_tree):
     assert report.findings == []
 
 
-def test_conc001_ignores_unaudited_classes(lint_tree):
+def test_conc001_audits_every_class_that_creates_a_lock(lint_tree):
     source = _SCHEDULER_TEMPLATE.format(reset_body="        self._count = 0\n").replace(
         "AdmissionScheduler", "ScratchBuffer"
     )
+    report = lint_tree({"src/repro/sweep/buffer.py": source}, rules=["CONC001"])
+    assert len(report.findings) == 1
+    assert "ScratchBuffer._count" in report.findings[0].message
+
+
+def test_conc001_ignores_classes_that_create_no_lock(lint_tree):
+    # The lock is handed in, not created: the class owns no lock to audit.
+    source = _SCHEDULER_TEMPLATE.format(reset_body="        self._count = 0\n").replace(
+        "def __init__(self):\n        self._lock = threading.Lock()",
+        "def __init__(self, lock):\n        self._lock = lock",
+    )
+    assert "threading.Lock()" not in source
     report = lint_tree({"src/repro/service/sched.py": source}, rules=["CONC001"])
     assert report.findings == []
 
@@ -341,6 +353,7 @@ def test_conc001_flags_subscript_mutation_outside_lock(lint_tree):
         "        del self._count\n",
         "        self._orders[0] += 1\n",
         "        self._orders[0][1] = None\n",
+        "        self._orders.append(None)\n",
     ],
 )
 def test_conc001_flags_deletion_and_nested_subscript_stores(lint_tree, mutation):
@@ -353,6 +366,52 @@ def test_conc001_flags_deletion_and_nested_subscript_stores(lint_tree, mutation)
 def test_conc001_allows_deletion_under_the_lock(lint_tree):
     source = _SCHEDULER_TEMPLATE.format(
         reset_body="        with self._lock:\n            del self._orders[0]\n"
+    )
+    report = lint_tree({"src/repro/service/sched.py": source}, rules=["CONC001"])
+    assert report.findings == []
+
+
+_READER_TEMPLATE = """
+import threading
+
+
+class Service:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._count = 0
+
+    def bump(self):
+        with self._lock:
+            self._count += 1
+
+    def snapshot(self):
+{snapshot_body}
+"""
+
+
+def test_conc001_flags_unlocked_read_of_guarded_attr(lint_tree):
+    source = _READER_TEMPLATE.format(snapshot_body="        return self._count\n")
+    report = lint_tree({"src/repro/service/sched.py": source}, rules=["CONC001"])
+    assert len(report.findings) == 1
+    finding = report.findings[0]
+    assert finding.rule == "CONC001"
+    assert "Service._count" in finding.message
+    assert "read here without the lock" in finding.message
+
+
+def test_conc001_allows_reads_under_the_lock_and_in_init(lint_tree):
+    source = _READER_TEMPLATE.format(
+        snapshot_body="        with self._lock:\n            return self._count\n"
+    ).replace("self._count = 0", "self._count = 0\n        self._seen = self._count")
+    report = lint_tree({"src/repro/service/sched.py": source}, rules=["CONC001"])
+    assert report.findings == []
+
+
+def test_conc001_ignores_reads_of_attrs_never_written_under_a_lock(lint_tree):
+    # _label is only ever written in __init__ — it is not part of the
+    # lock-guarded state, so bare reads of it are fine.
+    source = _READER_TEMPLATE.format(snapshot_body="        return self._label\n").replace(
+        "self._count = 0", 'self._count = 0\n        self._label = "svc"'
     )
     report = lint_tree({"src/repro/service/sched.py": source}, rules=["CONC001"])
     assert report.findings == []

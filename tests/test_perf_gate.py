@@ -98,6 +98,19 @@ class TestDispatchPerfGate:
         problems = gate.check(current, baseline)
         assert any(p.startswith("sparse:") for p in problems)
 
+    def test_sparse_floor_sits_at_measured_capacity(self, baseline):
+        # A 2x sparse regression (half the committed ratio) must trip the
+        # floor, while the committed measurement itself clears it.
+        floor = float(baseline["gates"]["min_sparse_speedup"])
+        measured = float(baseline["sparse"]["speedup"])
+        assert measured / 2.0 < floor < measured
+        current = copy.deepcopy(baseline)
+        current["sparse"]["speedup"] = measured / 2.0
+        problems = gate.check(current, baseline)
+        assert problems == [
+            f"sparse: speedup {measured / 2.0:.2f}x below the {floor:.2f}x floor"
+        ]
+
 
 class TestServiceGate:
     def test_baseline_passes_against_itself(self, service_baseline):
