@@ -9,11 +9,11 @@ the cost of spreading a single MGrid prediction uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.core.expression import ExpressionMethod, mgrid_expression_error
+from repro.core.expression import mgrid_expression_error
 from repro.core.grid import GridLayout
 from repro.core.homogeneity import d_alpha_per_mgrid
 from repro.data.dataset import EventDataset
@@ -33,8 +33,6 @@ def uniformity_vs_expression_error(
     dataset: EventDataset,
     layout: GridLayout,
     slot: int = 16,
-    method: ExpressionMethod = "auto",
-    k: Optional[int] = None,
 ) -> List[UniformityPoint]:
     """Per-MGrid (D_alpha, expression error) pairs for a scatter plot.
 
@@ -47,7 +45,7 @@ def uniformity_vs_expression_error(
     unevenness = d_alpha_per_mgrid(blocks)
     points: List[UniformityPoint] = []
     for index, row in enumerate(blocks):
-        error = mgrid_expression_error(row, k=k, method=method)
+        error = mgrid_expression_error(row)
         points.append(
             UniformityPoint(
                 mgrid_index=index,

@@ -755,8 +755,11 @@ def _command_tune(args: argparse.Namespace) -> int:
 
 
 def _command_curve(args: argparse.Namespace) -> int:
-    tuner = _build_tuner(args)
-    curve = tuner.error_curve(args.sides)
+    try:
+        curve = _build_tuner(args).error_curve(args.sides)
+    except ValueError as exc:
+        print(f"repro curve: {exc}", file=sys.stderr)
+        return 2
     rows = [
         [
             f"{side}x{side}",

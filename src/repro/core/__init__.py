@@ -27,7 +27,6 @@ from repro.core.errors import (
     expression_error_total_empirical,
 )
 from repro.core.expression import (
-    expression_error,
     expression_error_reference,
     expression_error_algorithm1,
     expression_error_algorithm2,
@@ -36,9 +35,7 @@ from repro.core.expression import (
     expression_error_upper_bound,
     expression_error_batch,
     mgrid_expression_error,
-    mgrid_expression_error_batch,
     total_expression_error,
-    total_expression_error_multi,
     total_expression_error_upper_bound,
     DEFAULT_K,
 )
@@ -52,11 +49,7 @@ from repro.core.homogeneity import (
 )
 from repro.core.model_error import (
     mean_absolute_error,
-    mean_absolute_error_batch,
-    total_model_error,
-    total_model_error_batch,
     total_model_error_from_mae,
-    relative_error,
 )
 from repro.core.interfaces import (
     DemandPredictor,
@@ -91,7 +84,6 @@ __all__ = [
     "real_error_total",
     "model_error_total",
     "expression_error_total_empirical",
-    "expression_error",
     "expression_error_reference",
     "expression_error_algorithm1",
     "expression_error_algorithm2",
@@ -100,9 +92,7 @@ __all__ = [
     "expression_error_upper_bound",
     "expression_error_batch",
     "mgrid_expression_error",
-    "mgrid_expression_error_batch",
     "total_expression_error",
-    "total_expression_error_multi",
     "total_expression_error_upper_bound",
     "DEFAULT_K",
     "d_alpha",
@@ -112,11 +102,7 @@ __all__ = [
     "DAlphaCurve",
     "select_hgrid_budget",
     "mean_absolute_error",
-    "mean_absolute_error_batch",
-    "total_model_error",
-    "total_model_error_batch",
     "total_model_error_from_mae",
-    "relative_error",
     "DemandPredictor",
     "DaySlot",
     "evaluation_targets",

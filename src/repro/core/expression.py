@@ -35,10 +35,9 @@ vectorised array passes instead of one Python call per cell: the truncated
 Poisson pmf tables of all cells are built as one ``(batch, support)`` matrix,
 the prefix-sum identity is applied column-wise, and the whole batch is reduced
 at once.  A city-scale probe (thousands of HGrids) therefore costs a handful
-of NumPy operations.  :func:`mgrid_expression_error_batch` reduces per-cell
-errors to per-MGrid totals and :func:`total_expression_error_multi` evaluates
-several alpha grids (e.g. every time slot of a day) against one layout in a
-single batched pass.
+of NumPy operations.  It is the one place that routes an
+:data:`ExpressionMethod`: ``"algorithm2"`` (exact), ``"gaussian"``, or
+``"auto"``, which picks between the two per cell by the MGrid mean.
 
 The pmf table of ``Y`` is cut where it underflows.  For ``km > rest`` the
 log-pmf grows with ``rest``, so the row with the batch's largest ``rest``
@@ -50,16 +49,16 @@ same bits as the full ``(m - 1) K + 1``-wide table.  In ``"auto"`` mode the
 exact cells have ``alpha + rest < 25`` and the cut lands near column 400 of
 up to a few thousand.
 
-Aggregate helpers (:func:`mgrid_expression_error`,
-:func:`total_expression_error`) sum the per-HGrid errors over an MGrid or over
-a whole city at a given :class:`~repro.core.grid.GridLayout`; both are backed
-by the batched engine.
+:func:`mgrid_expression_error` sums the per-HGrid errors of one MGrid and
+:func:`total_expression_error` those of a whole city at a given
+:class:`~repro.core.grid.GridLayout`; both are thin reductions over
+:func:`expression_error_batch`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 from scipy import special
@@ -69,7 +68,9 @@ from repro.utils.poisson import poisson_pmf, truncated_poisson_support
 from repro.utils.rng import RandomState, default_rng
 from repro.utils.validation import ensure_non_negative, ensure_positive
 
-ExpressionMethod = Literal["auto", "exact", "algorithm1", "algorithm2", "gaussian", "reference"]
+#: Methods of :func:`expression_error_batch`.  ``"auto"`` uses the Gaussian
+#: approximation for cells with a large MGrid mean and Algorithm 2 for the rest.
+ExpressionMethod = Literal["auto", "algorithm2", "gaussian"]
 
 #: Reference truncation hyper-parameter K (the paper uses 250; smaller values
 #: are adequate for the laptop-scale alphas used in tests and benches).  When
@@ -370,10 +371,11 @@ def expression_error_batch(
     Returns an array of per-cell errors with the same shape as ``alphas``.
     With a shared ``k`` the result matches the scalar calculators cell-for-cell
     to floating-point accuracy; with ``k=None`` a batch-wide truncation large
-    enough for every cell is chosen.  ``method`` accepts the same names as
-    :func:`expression_error`; ``"algorithm1"`` and ``"reference"`` fall back to
-    a per-cell loop (they exist for cross-checks, not speed).
+    enough for every cell is chosen.  ``method`` is one of
+    :data:`ExpressionMethod`; any other name raises :class:`ValueError`.
     """
+    if method not in get_args(ExpressionMethod):
+        raise ValueError(f"unknown expression-error method {method!r}")
     alphas = np.asarray(alphas, dtype=float)
     if rest is None:
         if alphas.ndim < 1 or alphas.shape[-1] == 0:
@@ -404,21 +406,6 @@ def expression_error_batch(
 
     if method == "gaussian":
         return _batch_gaussian(flat_alpha, flat_rest, m).reshape(shape)
-    if method in ("algorithm1", "reference"):
-        calculator = (
-            expression_error_algorithm1 if method == "algorithm1" else expression_error_reference
-        )
-        out = np.array(
-            [
-                calculator(
-                    float(a), float(r), m, k=k if k is not None else default_k_for(float(a), float(r), m)
-                )
-                for a, r in zip(flat_alpha, flat_rest)
-            ]
-        )
-        return out.reshape(shape)
-    if method not in ("auto", "exact", "algorithm2"):
-        raise ValueError(f"unknown expression-error method {method!r}")
 
     out = np.zeros(flat_alpha.size)
     if method == "auto":
@@ -440,70 +427,6 @@ def expression_error_batch(
     return out.reshape(shape)
 
 
-def mgrid_expression_error_batch(
-    blocks: np.ndarray,
-    k: int | None = None,
-    method: ExpressionMethod = "auto",
-) -> np.ndarray:
-    """Total expression error of every MGrid in ``blocks`` in one batched pass.
-
-    ``blocks`` has shape ``(..., m)`` (one row of per-HGrid alphas per MGrid);
-    the result drops the last axis.  Equivalent to mapping
-    :func:`mgrid_expression_error` over the rows, but vectorised.
-    """
-    return expression_error_batch(blocks, k=k, method=method).sum(axis=-1)
-
-
-def total_expression_error_multi(
-    alpha_stack: np.ndarray,
-    layout: GridLayout,
-    k: int | None = None,
-    method: ExpressionMethod = "auto",
-) -> np.ndarray:
-    """City-total expression error of several alpha grids in one batched pass.
-
-    ``alpha_stack`` has shape ``(..., F, F)`` with ``F`` the layout's fine
-    resolution — e.g. one alpha grid per time slot.  Returns the summed
-    expression error per leading entry (shape ``(...)``), equal to mapping
-    :func:`total_expression_error` over the stack.
-    """
-    blocks = layout.mgrid_alpha_blocks(alpha_stack)
-    if layout.hgrids_per_mgrid == 1:
-        return np.zeros(blocks.shape[:-2])
-    return mgrid_expression_error_batch(blocks, k=k, method=method).sum(axis=-1)
-
-
-def expression_error(
-    alpha_ij: float,
-    alpha_rest: float,
-    m: int,
-    k: int | None = None,
-    method: ExpressionMethod = "auto",
-) -> float:
-    """Expression error of one HGrid, dispatching on ``method``.
-
-    ``method="auto"`` uses the Gaussian approximation when the MGrid mean is
-    large (where it is essentially exact) and the exact O(mK) calculator
-    otherwise.
-    """
-    if method == "gaussian":
-        return expression_error_gaussian(alpha_ij, alpha_rest, m)
-    if k is None:
-        k = default_k_for(alpha_ij, alpha_rest, m)
-    if method == "reference":
-        return expression_error_reference(alpha_ij, alpha_rest, m, k)
-    if method == "algorithm1":
-        return expression_error_algorithm1(alpha_ij, alpha_rest, m, k)
-    if method in ("algorithm2", "exact"):
-        return expression_error_algorithm2(alpha_ij, alpha_rest, m, k)
-    if method == "auto":
-        total = alpha_ij + alpha_rest
-        if total >= _GAUSSIAN_MEAN_THRESHOLD:
-            return expression_error_gaussian(alpha_ij, alpha_rest, m)
-        return expression_error_algorithm2(alpha_ij, alpha_rest, m, k)
-    raise ValueError(f"unknown expression-error method {method!r}")
-
-
 def mgrid_expression_error(
     alphas: np.ndarray,
     k: int | None = None,
@@ -511,12 +434,6 @@ def mgrid_expression_error(
 ) -> float:
     """Total expression error of one MGrid given the alphas of its ``m`` HGrids."""
     alphas = np.asarray(alphas, dtype=float).ravel()
-    if alphas.size == 0:
-        raise ValueError("an MGrid must contain at least one HGrid")
-    if np.any(alphas < 0):
-        raise ValueError("all alphas must be non-negative")
-    if alphas.size == 1:
-        return 0.0
     return float(expression_error_batch(alphas[None, :], k=k, method=method).sum())
 
 
@@ -540,12 +457,12 @@ def total_expression_error(
     layout:
         The MGrid/HGrid layout under evaluation.
     k, method:
-        Passed to the batched calculators.
+        Passed to :func:`expression_error_batch`.
     """
     blocks = layout.mgrid_alpha_blocks(alpha_fine)
-    if layout.hgrids_per_mgrid == 1:
-        return 0.0
-    return float(mgrid_expression_error_batch(blocks, k=k, method=method).sum())
+    # Sum per MGrid, then over MGrids: a flat sum rounds differently and
+    # would change the bits of the sweep's cached results.
+    return float(expression_error_batch(blocks, k=k, method=method).sum(axis=-1).sum())
 
 
 def total_expression_error_upper_bound(alpha_fine: np.ndarray, layout: GridLayout) -> float:

@@ -3,14 +3,9 @@
 The total model error over all HGrids equals the total MGrid-level expected
 absolute error, which the paper estimates as ``n * MAE(f)`` where ``MAE(f)`` is
 the model's mean absolute error per (sample, MGrid) pair.  This module provides
-both the per-cell empirical computation and the ``n * MAE`` shortcut, which
-agree by construction when the same evaluation samples are used.
-
-Batched counterparts (:func:`mean_absolute_error_batch`,
-:func:`total_model_error_batch`) evaluate a whole stack of prediction sets —
-one per model, slot or sweep combination — in a single vectorised pass,
-mirroring the batched expression-error engine in
-:mod:`repro.core.expression`.
+the MAE and the ``n * MAE`` shortcut; the per-cell empirical total it
+estimates is :func:`repro.core.errors.model_error_total`, and the two agree
+by construction when the same evaluation samples are used.
 """
 
 from __future__ import annotations
@@ -39,84 +34,3 @@ def total_model_error_from_mae(mae: float, num_mgrids: int) -> float:
     if num_mgrids <= 0:
         raise ValueError("num_mgrids must be positive")
     return float(num_mgrids * mae)
-
-
-def total_model_error(predictions: np.ndarray, actual: np.ndarray) -> float:
-    """Total model error from MGrid-level predictions and actuals.
-
-    Both arrays have shape ``(samples, side, side)``; the result is the sum
-    over MGrids of the per-MGrid mean absolute error, identical to
-    ``n * MAE`` computed on the same data.
-    """
-    predictions = np.asarray(predictions, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if predictions.ndim == 2:
-        predictions = predictions[None, ...]
-    if actual.ndim == 2:
-        actual = actual[None, ...]
-    if predictions.shape != actual.shape:
-        raise ValueError(
-            f"predictions and actual must have the same shape, got "
-            f"{predictions.shape} vs {actual.shape}"
-        )
-    per_cell = np.abs(predictions - actual).mean(axis=0)
-    return float(per_cell.sum())
-
-
-def mean_absolute_error_batch(predictions: np.ndarray, actual: np.ndarray) -> np.ndarray:
-    """Per-item MAE over a leading batch axis.
-
-    ``predictions`` and ``actual`` have shape ``(batch, ...)``; the result is a
-    ``(batch,)`` array where entry ``b`` equals
-    ``mean_absolute_error(predictions[b], actual[b])``.
-    """
-    predictions = np.asarray(predictions, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if predictions.shape != actual.shape:
-        raise ValueError(
-            f"predictions and actual must have the same shape, got "
-            f"{predictions.shape} vs {actual.shape}"
-        )
-    if predictions.ndim < 1 or predictions.size == 0:
-        raise ValueError("cannot compute MAE on empty arrays")
-    flat = np.abs(predictions - actual).reshape(predictions.shape[0], -1)
-    return flat.mean(axis=1)
-
-
-def total_model_error_batch(predictions: np.ndarray, actual: np.ndarray) -> np.ndarray:
-    """Per-item total model error over a leading batch axis.
-
-    Both arrays have shape ``(batch, samples, side, side)`` (a single grid per
-    item, ``(batch, side, side)``, is also accepted); entry ``b`` of the result
-    equals ``total_model_error(predictions[b], actual[b])``.
-    """
-    predictions = np.asarray(predictions, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if predictions.ndim == 3:
-        predictions = predictions[:, None, ...]
-    if actual.ndim == 3:
-        actual = actual[:, None, ...]
-    if predictions.shape != actual.shape:
-        raise ValueError(
-            f"predictions and actual must have the same shape, got "
-            f"{predictions.shape} vs {actual.shape}"
-        )
-    if predictions.ndim != 4:
-        raise ValueError(
-            "batched model error expects shape (batch, samples, side, side), "
-            f"got {predictions.shape}"
-        )
-    per_cell = np.abs(predictions - actual).mean(axis=1)
-    return per_cell.sum(axis=(1, 2))
-
-
-def relative_error(predictions: np.ndarray, actual: np.ndarray) -> float:
-    """Total absolute error divided by total actual volume (scale-free accuracy)."""
-    predictions = np.asarray(predictions, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if predictions.shape != actual.shape:
-        raise ValueError("predictions and actual must have the same shape")
-    total_actual = np.abs(actual).sum()
-    if total_actual == 0:
-        return 0.0
-    return float(np.abs(predictions - actual).sum() / total_actual)

@@ -72,9 +72,24 @@ class _CountingObjective:
         return len(self.values)
 
 
-def _max_side(hgrid_budget: int) -> int:
+def _upper_side(hgrid_budget: int, min_side: int, max_side: Optional[int]) -> int:
+    """Validated upper end of the side range ``[min_side, upper]`` under budget ``N``.
+
+    ``upper`` defaults to ``isqrt(N)`` and may not exceed it: a larger side
+    would need more MGrids than there are HGrids.
+    """
     ensure_perfect_square(hgrid_budget, "hgrid_budget")
-    return math.isqrt(hgrid_budget)
+    ensure_positive(min_side, "min_side")
+    limit = math.isqrt(hgrid_budget)
+    upper = limit if max_side is None else int(max_side)
+    if upper > limit:
+        raise ValueError(
+            f"max_side {upper} exceeds isqrt({hgrid_budget}) = {limit}: "
+            "n = side**2 may not exceed the HGrid budget"
+        )
+    if min_side > upper:
+        raise ValueError(f"min_side {min_side} exceeds max side {upper}")
+    return upper
 
 
 def brute_force_search(
@@ -84,10 +99,7 @@ def brute_force_search(
     max_side: Optional[int] = None,
 ) -> SearchResult:
     """Evaluate every candidate side and return the global optimum."""
-    upper = _max_side(hgrid_budget) if max_side is None else int(max_side)
-    ensure_positive(min_side, "min_side")
-    if min_side > upper:
-        raise ValueError(f"min_side {min_side} exceeds max side {upper}")
+    upper = _upper_side(hgrid_budget, min_side, max_side)
     counting = _CountingObjective(objective)
     best_side = min_side
     best_value = counting(min_side)
@@ -117,10 +129,7 @@ def ternary_search(
     the global optimum whenever the objective is unimodal; otherwise still
     returns a good local solution (quantified in Table IV).
     """
-    upper = _max_side(hgrid_budget) if max_side is None else int(max_side)
-    ensure_positive(min_side, "min_side")
-    if min_side > upper:
-        raise ValueError(f"min_side {min_side} exceeds max side {upper}")
+    upper = _upper_side(hgrid_budget, min_side, max_side)
     counting = _CountingObjective(objective)
     low, high = min_side, upper
     # Narrow the interval while the two third-points are interior and distinct;
@@ -163,11 +172,8 @@ def iterative_search(
     sides, starting with the farthest; move to the first strictly better
     position found and repeat until no position within the bound improves.
     """
-    upper = _max_side(hgrid_budget) if max_side is None else int(max_side)
-    ensure_positive(min_side, "min_side")
+    upper = _upper_side(hgrid_budget, min_side, max_side)
     ensure_positive(bound, "bound")
-    if min_side > upper:
-        raise ValueError(f"min_side {min_side} exceeds max side {upper}")
     counting = _CountingObjective(objective)
     position = min(max(int(initial_side), min_side), upper)
     improved = True

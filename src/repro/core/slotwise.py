@@ -7,12 +7,9 @@ This module provides the natural extension: tune ``n`` per time slot, then
 either use the per-slot grids directly or collapse them into one compromise
 grid chosen to minimise the summed upper bound across slots.
 
-Two batching optimisations make whole-day tuning cheap: every per-slot
-evaluator shares one model-error cache (the model error does not depend on the
-alpha slot, so each candidate side trains its model exactly once for the whole
-day), and :meth:`SlotwiseGridTuner.expression_error_matrix` probes the
-expression error of *all* slots at a candidate side in a single vectorised
-pass through :func:`repro.core.expression.total_expression_error_multi`.
+Every per-slot evaluator shares one model-error cache: the model error does
+not depend on the alpha slot, so each candidate side trains its model exactly
+once for the whole day.
 """
 
 from __future__ import annotations
@@ -21,10 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.expression import ExpressionMethod, total_expression_error_multi
-from repro.core.grid import GridLayout
 from repro.core.interfaces import DemandPredictor
 from repro.core.search import run_search
 from repro.core.upper_bound import UpperBoundEvaluator
@@ -112,40 +105,6 @@ class SlotwiseGridTuner:
                 model_error_cache=self._model_error_cache,
             )
         return self._evaluators[slot]
-
-    def expression_error_matrix(
-        self,
-        slots: Sequence[int],
-        sides: Sequence[int],
-        method: ExpressionMethod = "auto",
-    ) -> np.ndarray:
-        """Whole-city expression errors for every (slot, side) pair, batched.
-
-        Stacks the alpha grids of all ``slots`` and evaluates each candidate
-        side with one vectorised pass, so the full matrix costs a handful of
-        array operations per side instead of ``len(slots)`` scalar sweeps.
-        Returns an array of shape ``(len(slots), len(sides))``.
-
-        Example
-        -------
-        >>> tuner = SlotwiseGridTuner(dataset, model_factory, hgrid_budget=64)
-        >>> errors = tuner.expression_error_matrix(slots=range(48), sides=[2, 4, 8])
-        """
-        if not slots:
-            raise ValueError("at least one slot is required")
-        if not sides:
-            raise ValueError("at least one side is required")
-        matrix = np.zeros((len(slots), len(sides)))
-        for column, side in enumerate(sides):
-            layout = GridLayout.for_ogss(int(side) ** 2, self.hgrid_budget)
-            alpha_stack = np.stack(
-                [
-                    self.dataset.alpha(layout.fine_resolution, slot=int(slot))
-                    for slot in slots
-                ]
-            )
-            matrix[:, column] = total_expression_error_multi(alpha_stack, layout, method=method)
-        return matrix
 
     def tune_slot(self, slot: int) -> SlotTuningResult:
         """Tune the grid size for one time slot."""

@@ -21,7 +21,6 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from repro.core.errors import ErrorReport, decompose_errors
-from repro.core.expression import ExpressionMethod
 from repro.core.grid import GridLayout, candidate_mgrid_sides
 from repro.core.homogeneity import select_hgrid_budget
 from repro.core.interfaces import (
@@ -67,8 +66,6 @@ class GridTuner:
         automatically from the D_alpha turning point (Section III-A).
     alpha_slot:
         Time slot used for alpha estimation (default 08:00-08:30).
-    expression_method, expression_k:
-        Expression-error calculator configuration.
     """
 
     def __init__(
@@ -77,8 +74,6 @@ class GridTuner:
         model_factory: Callable[[], DemandPredictor],
         hgrid_budget: Optional[int] = None,
         alpha_slot: int = 16,
-        expression_method: ExpressionMethod = "auto",
-        expression_k: Optional[int] = None,
         evaluation_days: Optional[Sequence[int]] = None,
     ) -> None:
         self.dataset = dataset
@@ -93,8 +88,6 @@ class GridTuner:
             hgrid_budget=self.hgrid_budget,
             alpha_slot=alpha_slot,
             evaluation_days=evaluation_days,
-            expression_method=expression_method,
-            expression_k=expression_k,
         )
 
     # ------------------------------------------------------------------ #

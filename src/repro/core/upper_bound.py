@@ -10,11 +10,12 @@ so the search algorithms never retrain a model for the same ``n`` twice.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, MutableMapping, Optional, Sequence, Tuple
 
-from repro.core.expression import ExpressionMethod, total_expression_error
+from repro.core.expression import total_expression_error
 from repro.core.grid import GridLayout
 from repro.core.interfaces import (
     DaySlot,
@@ -24,7 +25,6 @@ from repro.core.interfaces import (
 )
 from repro.core.model_error import mean_absolute_error, total_model_error_from_mae
 from repro.data.dataset import EventDataset
-from repro.utils.timer import Timer
 from repro.utils.validation import ensure_perfect_square
 
 
@@ -67,8 +67,6 @@ class UpperBoundEvaluator:
     evaluation_days:
         Days whose slots are used to measure the model MAE; defaults to the
         dataset's validation + test days.
-    expression_method, expression_k:
-        Passed through to :func:`repro.core.expression.total_expression_error`.
     model_error_cache:
         Optional mapping ``mgrid_side -> (model_error, mae)`` shared between
         evaluators.  The model error depends only on the dataset, the model
@@ -88,10 +86,7 @@ class UpperBoundEvaluator:
     hgrid_budget: int
     alpha_slot: int = 16
     evaluation_days: Optional[Sequence[int]] = None
-    expression_method: ExpressionMethod = "auto"
-    expression_k: Optional[int] = None
     model_error_cache: Optional[MutableMapping[int, Tuple[float, float]]] = None
-    timer: Timer = field(default_factory=Timer)
 
     def __post_init__(self) -> None:
         ensure_perfect_square(self.hgrid_budget, "hgrid_budget")
@@ -117,14 +112,21 @@ class UpperBoundEvaluator:
         return dict(self._cache)
 
     def evaluate_side(self, mgrid_side: int) -> UpperBoundResult:
-        """Evaluate ``e(side)`` for ``n = side**2`` (cached)."""
+        """Evaluate ``e(side)`` for ``n = side**2`` (cached).
+
+        ``side`` must lie in ``[1, isqrt(N)]``: an MGrid holds at least one
+        HGrid, so ``n`` cannot exceed the HGrid budget ``N``.
+        """
         mgrid_side = int(mgrid_side)
-        if mgrid_side <= 0:
-            raise ValueError(f"mgrid_side must be positive, got {mgrid_side}")
+        max_side = math.isqrt(self.hgrid_budget)
+        if not 1 <= mgrid_side <= max_side:
+            raise ValueError(
+                f"mgrid_side must be in [1, {max_side}] for an HGrid budget of "
+                f"{self.hgrid_budget}, got {mgrid_side}"
+            )
         if mgrid_side in self._cache:
             return self._cache[mgrid_side]
-        with self.timer.measure("upper_bound_evaluation"):
-            result = self._evaluate(mgrid_side)
+        result = self._evaluate(mgrid_side)
         self._cache[mgrid_side] = result
         self._evaluation_count += 1
         return result
@@ -169,8 +171,7 @@ class UpperBoundEvaluator:
     def _train_and_measure(self, mgrid_side: int) -> tuple[float, float]:
         """Train a fresh model at this resolution and estimate ``n * MAE``."""
         model = self.model_factory()
-        with self.timer.measure("model_training"):
-            model.fit(self.dataset, mgrid_side)
+        model.fit(self.dataset, mgrid_side)
         targets: list[DaySlot] = evaluation_targets(self.dataset, self.evaluation_days)
         predictions = model.predict(self.dataset, mgrid_side, targets)
         actual = actual_counts_for_targets(self.dataset, mgrid_side, targets)
@@ -180,10 +181,4 @@ class UpperBoundEvaluator:
     def _expression_error(self, layout: GridLayout) -> float:
         """Analytic total expression error for this layout."""
         alpha_fine = self.dataset.alpha(layout.fine_resolution, slot=self.alpha_slot)
-        with self.timer.measure("expression_error"):
-            return total_expression_error(
-                alpha_fine,
-                layout,
-                k=self.expression_k,
-                method=self.expression_method,
-            )
+        return total_expression_error(alpha_fine, layout)

@@ -15,7 +15,6 @@ from repro.utils.validation import (
     ensure_perfect_square,
     ensure_in_range,
 )
-from repro.utils.timer import Timer, timed
 
 __all__ = [
     "ResultCache",
@@ -32,6 +31,4 @@ __all__ = [
     "ensure_probability",
     "ensure_perfect_square",
     "ensure_in_range",
-    "Timer",
-    "timed",
 ]

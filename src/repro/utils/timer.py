@@ -1,16 +1,13 @@
-"""Lightweight timing utilities for the experiment harness.
+"""The one wall-clock seam of the package.
 
 The paper reports wall-clock search cost in Table IV and the expression-error
-algorithm cost in Figure 16; :class:`Timer` provides the measurement primitive
-used by the corresponding benchmarks.
+algorithm cost in Figure 16; :func:`wall_clock` is the clock read behind those
+measurements and every other elapsed-time figure.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator
 
 
 def wall_clock() -> float:
@@ -23,62 +20,3 @@ def wall_clock() -> float:
     harnesses a single monkeypatch point.
     """
     return time.perf_counter()
-
-
-@dataclass
-class Timer:
-    """Accumulating timer keyed by label.
-
-    Example
-    -------
-    >>> timer = Timer()
-    >>> with timer.measure("search"):
-    ...     _ = sum(range(1000))
-    >>> timer.total("search") >= 0.0
-    True
-    """
-
-    totals: Dict[str, float] = field(default_factory=dict)
-    counts: Dict[str, int] = field(default_factory=dict)
-
-    @contextmanager
-    def measure(self, label: str) -> Iterator[None]:
-        """Context manager adding the elapsed time to ``label``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.totals[label] = self.totals.get(label, 0.0) + elapsed
-            self.counts[label] = self.counts.get(label, 0) + 1
-
-    def total(self, label: str) -> float:
-        """Total seconds accumulated under ``label`` (0.0 if never measured)."""
-        return self.totals.get(label, 0.0)
-
-    def count(self, label: str) -> int:
-        """Number of measurements recorded under ``label``."""
-        return self.counts.get(label, 0)
-
-    def mean(self, label: str) -> float:
-        """Mean seconds per measurement under ``label``."""
-        count = self.count(label)
-        if count == 0:
-            return 0.0
-        return self.total(label) / count
-
-    def reset(self) -> None:
-        """Clear all accumulated measurements."""
-        self.totals.clear()
-        self.counts.clear()
-
-
-@contextmanager
-def timed() -> Iterator[dict]:
-    """Standalone timing context; yields a dict whose ``"seconds"`` is filled on exit."""
-    result: dict = {"seconds": None}
-    start = time.perf_counter()
-    try:
-        yield result
-    finally:
-        result["seconds"] = time.perf_counter() - start

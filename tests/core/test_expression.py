@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.core.expression import (
     DEFAULT_K,
     default_k_for,
-    expression_error,
     expression_error_algorithm1,
     expression_error_algorithm2,
+    expression_error_batch,
     expression_error_gaussian,
     expression_error_monte_carlo,
     expression_error_reference,
@@ -108,17 +108,16 @@ class TestProperties:
         large = expression_error_algorithm2(2 * alpha, (m - 1) * 2 * alpha, m)
         assert large >= small - 1e-9
 
-    def test_dispatcher_method_consistency(self):
-        args = (2.0, 10.0, 6)
-        exact = expression_error(*args, method="exact")
-        alg2 = expression_error(*args, method="algorithm2")
-        reference = expression_error(*args, method="reference")
-        assert exact == pytest.approx(alg2)
-        assert exact == pytest.approx(reference, rel=1e-8)
+    def test_batched_algorithm2_matches_reference(self):
+        batched = expression_error_batch(
+            np.array([2.0]), 6, rest=np.array([10.0]), method="algorithm2"
+        )
+        reference = expression_error_reference(2.0, 10.0, 6)
+        assert batched[0] == pytest.approx(reference, rel=1e-8)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            expression_error(1.0, 1.0, 2, method="magic")
+            mgrid_expression_error(np.ones(2), method="magic")
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):

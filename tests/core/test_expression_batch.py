@@ -13,24 +13,15 @@ from hypothesis import strategies as st
 from repro.core.expression import (
     DEFAULT_K,
     default_k_for,
-    expression_error,
     expression_error_algorithm2,
     expression_error_batch,
     expression_error_gaussian,
     mgrid_expression_error,
-    mgrid_expression_error_batch,
     total_expression_error,
-    total_expression_error_multi,
 )
 from repro.core import expression as expression_module
 from repro.core.grid import GridLayout
 from repro.core.homogeneity import d_alpha, d_alpha_batch, d_alpha_per_mgrid
-from repro.core.model_error import (
-    mean_absolute_error,
-    mean_absolute_error_batch,
-    total_model_error,
-    total_model_error_batch,
-)
 
 alpha_arrays = st.lists(
     st.floats(min_value=0.0, max_value=15.0), min_size=1, max_size=12
@@ -42,6 +33,14 @@ def _random_pairs(rng, size, alpha_high=8.0, rest_high=24.0):
     return rng.uniform(0.0, alpha_high, size), rng.uniform(0.0, rest_high, size)
 
 
+def _scalar_error(alpha_ij, alpha_rest, m, k, method):
+    """The scalar calculator ``method`` stands for at one cell."""
+    threshold = expression_module._GAUSSIAN_MEAN_THRESHOLD
+    if method == "gaussian" or (method == "auto" and alpha_ij + alpha_rest >= threshold):
+        return expression_error_gaussian(alpha_ij, alpha_rest, m)
+    return expression_error_algorithm2(alpha_ij, alpha_rest, m, k=k)
+
+
 class TestElementwiseEquivalence:
     @pytest.mark.parametrize("method", ["algorithm2", "gaussian", "auto"])
     def test_matches_scalar_dispatcher(self, rng, method):
@@ -49,12 +48,14 @@ class TestElementwiseEquivalence:
         k = 80
         batch = expression_error_batch(alpha_ij, 6, rest=alpha_rest, k=k, method=method)
         scalar = np.array(
-            [
-                expression_error(float(a), float(r), 6, k=k, method=method)
-                for a, r in zip(alpha_ij, alpha_rest)
-            ]
+            [_scalar_error(float(a), float(r), 6, k, method) for a, r in zip(alpha_ij, alpha_rest)]
         )
         assert batch.shape == scalar.shape
+        if method == "auto":
+            # The sample straddles the threshold, so both branches are exercised.
+            total = alpha_ij + alpha_rest
+            threshold = expression_module._GAUSSIAN_MEAN_THRESHOLD
+            assert np.any(total < threshold) and np.any(total >= threshold)
         np.testing.assert_allclose(batch, scalar, rtol=1e-9, atol=1e-12)
 
     @given(alpha_arrays, ms)
@@ -68,24 +69,20 @@ class TestElementwiseEquivalence:
             scalar = expression_error_algorithm2(float(alpha), 5.0, m, k=k)
             assert batch[index] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
 
-    def test_reference_and_algorithm1_fallbacks(self):
-        alpha_ij = np.array([0.5, 2.0, 0.0])
-        alpha_rest = np.array([2.0, 6.0, 1.0])
-        for method in ("reference", "algorithm1"):
-            batch = expression_error_batch(
-                alpha_ij, 4, rest=alpha_rest, k=40, method=method
+    @pytest.mark.parametrize("method", ["reference", "algorithm1", "exact", "magic"])
+    def test_rejects_methods_outside_the_dispatcher(self, method):
+        """Only "auto", "algorithm2" and "gaussian" route; the scalar oracles
+        are called directly, never through a method name."""
+        with pytest.raises(ValueError, match="unknown expression-error method"):
+            expression_error_batch(np.array([1.0]), 4, rest=np.array([2.0]), method=method)
+        with pytest.raises(ValueError, match="unknown expression-error method"):
+            total_expression_error(
+                np.ones((4, 4)), GridLayout(num_mgrids=4, hgrids_per_mgrid=4), method=method
             )
-            scalar = np.array(
-                [
-                    expression_error(float(a), float(r), 4, k=40, method=method)
-                    for a, r in zip(alpha_ij, alpha_rest)
-                ]
-            )
-            np.testing.assert_allclose(batch, scalar, rtol=1e-9, atol=1e-12)
 
     def test_auto_mode_switches_per_cell(self):
         """Cells above the Gaussian threshold use the Normal approximation,
-        cells below use Algorithm 2 — exactly like the scalar dispatcher."""
+        cells below use Algorithm 2."""
         alpha_ij = np.array([1.0, 40.0])
         alpha_rest = np.array([3.0, 80.0])
         batch = expression_error_batch(alpha_ij, 4, rest=alpha_rest, method="auto")
@@ -110,12 +107,11 @@ class TestEdgeCases:
         np.testing.assert_allclose(batch, 0.0, atol=1e-12)
 
     def test_large_alpha(self):
-        """Means far above the Gaussian threshold stay consistent with the
-        scalar dispatcher (which also picks the Gaussian branch)."""
+        """Means far above the Gaussian threshold take the Gaussian branch."""
         batch = expression_error_batch(
             np.array([150.0]), 4, rest=np.array([600.0]), method="auto"
         )
-        scalar = expression_error(150.0, 600.0, 4, method="auto")
+        scalar = expression_error_gaussian(150.0, 600.0, 4)
         assert batch[0] == pytest.approx(scalar, rel=1e-12)
 
     def test_empty_batch(self):
@@ -174,7 +170,7 @@ class TestUnderflowCut:
     """The pmf table is cut where it underflows; the result must not move a bit."""
 
     @pytest.mark.parametrize("m", [2, 4, 16, 49, 484])
-    @pytest.mark.parametrize("method", ["auto", "exact"])
+    @pytest.mark.parametrize("method", ["auto", "algorithm2"])
     @pytest.mark.parametrize("k", [None, 25])
     def test_matches_full_width_table(self, m, method, k, monkeypatch):
         local = np.random.default_rng(m)
@@ -189,9 +185,9 @@ class TestUnderflowCut:
 
     def test_all_zero_batch_matches_full_width_table(self, monkeypatch):
         zeros = np.zeros((3, 16))
-        cut = expression_error_batch(zeros, method="exact")
+        cut = expression_error_batch(zeros, method="algorithm2")
         monkeypatch.setattr(expression_module, "_batch_algorithm2_chunked", _full_width_chunked)
-        assert np.array_equal(cut, expression_error_batch(zeros, method="exact"))
+        assert np.array_equal(cut, expression_error_batch(zeros, method="algorithm2"))
 
     def test_auto_mode_tables_are_cut_well_short_of_full_width(self):
         # The exact path in "auto" mode sees rest < 25 only.
@@ -217,7 +213,7 @@ class TestUnderflowCut:
         monkeypatch.setattr(expression_module, "_batch_algorithm2", recording)
         monkeypatch.setattr(expression_module, "BATCH_TABLE_BUDGET", 10_000)
         alpha = np.full(500, 0.5)
-        expression_error_batch(alpha, 16, rest=np.full(500, 20.0), k=DEFAULT_K, method="exact")
+        expression_error_batch(alpha, 16, rest=np.full(500, 20.0), k=DEFAULT_K, method="algorithm2")
         width = widths[0][1]
         assert width < 15 * DEFAULT_K + 1
         assert max(size for size, _ in widths) == 10_000 // width
@@ -226,7 +222,7 @@ class TestUnderflowCut:
 class TestBlockMode:
     def test_block_mode_matches_mgrid_loop(self, rng):
         blocks = rng.uniform(0.0, 6.0, size=(10, 9))
-        totals = mgrid_expression_error_batch(blocks, k=60, method="algorithm2")
+        totals = expression_error_batch(blocks, k=60, method="algorithm2").sum(axis=-1)
         for index in range(blocks.shape[0]):
             scalar = mgrid_expression_error(blocks[index], k=60, method="algorithm2")
             assert totals[index] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
@@ -251,59 +247,18 @@ class TestBlockMode:
         )
         assert batched == pytest.approx(looped, rel=1e-9)
 
-
-class TestMultiSlot:
-    def test_multi_matches_per_slot_totals(self, rng):
+    def test_leading_axes_match_per_slot_totals(self, rng):
+        """A stack of alpha grids (e.g. one per slot) keeps its leading axis."""
         alpha_stack = rng.uniform(0.0, 5.0, size=(4, 8, 8))
         layout = GridLayout(num_mgrids=4, hgrids_per_mgrid=16)
-        multi = total_expression_error_multi(alpha_stack, layout, k=60, method="algorithm2")
-        per_slot = np.array(
-            [
-                total_expression_error(alpha_stack[s], layout, k=60, method="algorithm2")
-                for s in range(alpha_stack.shape[0])
-            ]
-        )
-        assert multi.shape == (4,)
-        np.testing.assert_allclose(multi, per_slot, rtol=1e-9, atol=1e-12)
-
-    def test_multi_zero_when_m_is_one(self, rng):
-        alpha_stack = rng.uniform(0.0, 5.0, size=(3, 4, 4))
-        layout = GridLayout(num_mgrids=16, hgrids_per_mgrid=1)
-        np.testing.assert_array_equal(
-            total_expression_error_multi(alpha_stack, layout), np.zeros(3)
-        )
-
-
-class TestModelErrorBatch:
-    def test_mae_batch_matches_scalar(self, rng):
-        predictions = rng.normal(size=(5, 7, 4, 4))
-        actual = rng.normal(size=(5, 7, 4, 4))
-        batch = mean_absolute_error_batch(predictions, actual)
-        for index in range(5):
-            assert batch[index] == pytest.approx(
-                mean_absolute_error(predictions[index], actual[index])
-            )
-
-    def test_total_model_error_batch_matches_scalar(self, rng):
-        predictions = rng.normal(size=(3, 6, 4, 4))
-        actual = rng.normal(size=(3, 6, 4, 4))
-        batch = total_model_error_batch(predictions, actual)
-        for index in range(3):
-            assert batch[index] == pytest.approx(
-                total_model_error(predictions[index], actual[index])
-            )
-
-    def test_single_grid_per_item_accepted(self, rng):
-        predictions = rng.normal(size=(3, 4, 4))
-        actual = rng.normal(size=(3, 4, 4))
-        batch = total_model_error_batch(predictions, actual)
-        assert batch.shape == (3,)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mean_absolute_error_batch(np.zeros((2, 3)), np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            total_model_error_batch(np.zeros((2, 1, 4, 4)), np.zeros((2, 1, 5, 5)))
+        blocks = layout.mgrid_alpha_blocks(alpha_stack)
+        stacked = expression_error_batch(blocks, k=60, method="algorithm2").sum(axis=(-2, -1))
+        per_slot = [
+            total_expression_error(alpha_stack[s], layout, k=60, method="algorithm2")
+            for s in range(alpha_stack.shape[0])
+        ]
+        assert stacked.shape == (4,)
+        np.testing.assert_allclose(stacked, per_slot, rtol=1e-9, atol=1e-12)
 
 
 class TestDAlphaBatch:

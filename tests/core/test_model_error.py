@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.model_error import (
-    mean_absolute_error,
-    relative_error,
-    total_model_error,
-    total_model_error_from_mae,
-)
+from repro.core.errors import model_error_total
+from repro.core.grid import GridLayout
+from repro.core.model_error import mean_absolute_error, total_model_error_from_mae
+
+
+def _total(predictions, actual):
+    """Empirical total model error of MGrid-level arrays (one HGrid per MGrid)."""
+    side = np.asarray(predictions).shape[-1]
+    return model_error_total(predictions, actual, GridLayout(side * side, 1))
 
 
 class TestMeanAbsoluteError:
@@ -33,19 +36,19 @@ class TestMeanAbsoluteError:
 
 class TestTotalModelError:
     def test_equation_20_consistency(self):
-        """total_model_error == n * MAE on the same evaluation samples."""
+        """The empirical total equals n * MAE on the same evaluation samples."""
         rng = np.random.default_rng(1)
         predictions = rng.random((10, 4, 4)) * 20
         actual = rng.random((10, 4, 4)) * 20
         mae = mean_absolute_error(predictions, actual)
-        assert total_model_error(predictions, actual) == pytest.approx(
+        assert _total(predictions, actual) == pytest.approx(
             total_model_error_from_mae(mae, 16)
         )
 
     def test_accepts_2d_input(self):
         predictions = np.ones((2, 2))
         actual = np.zeros((2, 2))
-        assert total_model_error(predictions, actual) == pytest.approx(4.0)
+        assert _total(predictions, actual) == pytest.approx(4.0)
 
     def test_from_mae_validation(self):
         with pytest.raises(ValueError):
@@ -59,17 +62,6 @@ class TestTotalModelError:
     )
     @settings(max_examples=40, deadline=None)
     def test_non_negative_and_symmetric(self, a, b):
-        assert total_model_error(a, b) >= 0.0
-        assert total_model_error(a, b) == pytest.approx(total_model_error(b, a))
+        assert _total(a, b) >= 0.0
+        assert _total(a, b) == pytest.approx(_total(b, a))
 
-
-class TestRelativeError:
-    def test_zero_actual_gives_zero(self):
-        assert relative_error(np.ones(3), np.zeros(3)) == 0.0
-
-    def test_known_value(self):
-        assert relative_error(np.array([2.0, 2.0]), np.array([1.0, 1.0])) == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            relative_error(np.zeros(2), np.zeros(3))

@@ -56,6 +56,21 @@ class TestBruteForce:
             brute_force_search(unimodal_objective(3), 60)
 
 
+@pytest.mark.parametrize("search", [brute_force_search, ternary_search, iterative_search])
+class TestSideRange:
+    def test_max_side_beyond_budget_rejected(self, search):
+        """n = side**2 may not exceed N: isqrt(64) = 8 is the largest side."""
+        with pytest.raises(ValueError, match="exceeds isqrt"):
+            search(unimodal_objective(15), 64, max_side=20)
+
+    def test_max_side_at_budget_accepted(self, search):
+        assert search(unimodal_objective(8), 64, max_side=8).best_side == 8
+
+    def test_min_side_above_max_side_rejected(self, search):
+        with pytest.raises(ValueError, match="exceeds max side"):
+            search(unimodal_objective(3), 64, min_side=5, max_side=4)
+
+
 class TestTernarySearch:
     @pytest.mark.parametrize("optimum", [1, 2, 7, 12, 16])
     def test_finds_optimum_of_unimodal_objective(self, optimum):

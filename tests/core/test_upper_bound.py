@@ -60,6 +60,13 @@ class TestUpperBoundEvaluator:
         with pytest.raises(ValueError):
             evaluator.evaluate_side(0)
 
+    def test_side_beyond_budget_rejected(self, evaluator):
+        """n = 9**2 MGrids cannot fit an N = 64 HGrid budget."""
+        with pytest.raises(ValueError, match=r"\[1, 8\]"):
+            evaluator.evaluate_side(9)
+        assert evaluator.evaluations == 0
+        assert evaluator.evaluate_side(8).num_mgrids == 64
+
     def test_invalid_alpha_slot_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
             UpperBoundEvaluator(

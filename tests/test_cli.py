@@ -78,6 +78,14 @@ class TestCommands:
         assert "Upper-bound curve" in output
         assert "8x8" in output
 
+    def test_curve_command_rejects_side_beyond_budget_cleanly(self, capsys):
+        exit_code = main(["curve", *FAST_DATASET_ARGS, "--sides", "20"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("repro curve: mgrid_side must be in [1, 8]")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_experiment_fig3_runs(self, capsys):
         exit_code = main(["experiment", "fig3", "--profile", "tiny"])
         output = capsys.readouterr().out
