@@ -211,16 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="POLAR assignment solver (default: optimal)",
     )
     dispatch.add_argument(
-        "--sparse",
-        choices=("auto", "always", "never"),
-        default="auto",
-        help=(
-            "vector-engine matching pipeline: grid-bucketed sparse matching "
-            "on large batches (auto, default), forced (always) or the dense "
-            "candidate matrix (never); metrics are identical in every mode"
-        ),
-    )
-    dispatch.add_argument(
         "--guidance",
         default="oracle",
         help=(
@@ -678,12 +668,6 @@ def _add_service_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--sparse",
-        choices=("auto", "always", "never"),
-        default="auto",
-        help="vector-engine matching pipeline (default: auto)",
-    )
-    parser.add_argument(
         "--ingest-log",
         default=None,
         metavar="FILE",
@@ -924,7 +908,6 @@ def _command_dispatch(args: argparse.Namespace) -> int:
         engine=args.engine,
         matching=args.matching,
         executor=args.executor,
-        sparse=args.sparse,
         guidance=args.guidance,
         scenario_family=args.scenario,
         test_days=args.test_days,
@@ -1100,7 +1083,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 raise ValueError("--recover requires --ingest-log (the WAL to replay)")
             service = DispatchService.recover(
                 args.ingest_log,
-                sparse=None if args.sparse == "auto" else args.sparse,
                 max_batch=args.max_batch,
                 cadence_seconds=args.cadence,
                 max_pending=args.max_pending,
@@ -1111,7 +1093,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             scenario = _service_scenario(args)
             config = ServiceConfig(
                 scenario=scenario,
-                sparse=args.sparse,
                 max_batch=args.max_batch,
                 cadence_seconds=args.cadence,
                 ingest_log=args.ingest_log,
@@ -1195,7 +1176,6 @@ def _command_loadgen(args: argparse.Namespace) -> int:
             ingest_log=args.ingest_log,
             max_batch=args.max_batch,
             cadence_seconds=args.cadence,
-            sparse=args.sparse,
             url=args.url,
             check_replay=not args.no_replay,
             max_pending=args.max_pending,

@@ -29,9 +29,6 @@ from repro.dispatch.matching import (
     min_cost_pairs,
     max_weight_pairs,
     edge_components,
-    min_cost_pairs_blocked,
-    max_weight_pairs_blocked,
-    greedy_pairs_masked_blocked,
 )
 from repro.dispatch.spatial import GridBucketIndex
 from repro.dispatch.demand import (
@@ -43,8 +40,6 @@ from repro.dispatch.demand import (
 from repro.dispatch.engine import (
     ArrayPolicy,
     VectorizedAssignmentEngine,
-    supports_array_kernels,
-    supports_sparse_matching,
 )
 from repro.dispatch.simulator import (
     AssignmentPolicy,
@@ -88,9 +83,6 @@ __all__ = [
     "min_cost_pairs",
     "max_weight_pairs",
     "edge_components",
-    "min_cost_pairs_blocked",
-    "max_weight_pairs_blocked",
-    "greedy_pairs_masked_blocked",
     "GridBucketIndex",
     "PredictedDemandProvider",
     "orders_from_events",
@@ -98,8 +90,6 @@ __all__ = [
     "requests_from_events",
     "ArrayPolicy",
     "VectorizedAssignmentEngine",
-    "supports_array_kernels",
-    "supports_sparse_matching",
     "AssignmentPolicy",
     "TaskAssignmentSimulator",
     "spawn_drivers",

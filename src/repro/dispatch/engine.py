@@ -39,8 +39,9 @@ Sparse spatial matching
 Both engines historically built a dense ``(pending orders x idle drivers)``
 cost matrix per batch and handed it whole to the matching kernel — O(N*M)
 distance work dominated by pairs that can never be feasible (an order only
-reaches drivers within ``remaining_wait / 60 * speed_kmh`` km).  The sparse
-pipeline (``sparse="auto"|"always"|"never"``) replaces that with:
+reaches drivers within ``remaining_wait / 60 * speed_kmh`` km).  Once a
+batch's ``pending * idle`` reaches :data:`SPARSE_AUTO_THRESHOLD` the engine
+replaces that with the sparse pipeline:
 
 1. **index** — bin the idle drivers into a
    :class:`~repro.dispatch.spatial.GridBucketIndex` (the paper's grid cell
@@ -78,9 +79,14 @@ pipeline (``sparse="auto"|"always"|"never"``) replaces that with:
    assignment solvers, ``"cost"`` for the greedy scan).
 
 The per-batch cost drops from O(N*M) to output-sensitive near-linear work.
-``"auto"`` switches the sparse path on once ``pending * idle`` crosses
-:data:`SPARSE_AUTO_THRESHOLD`; the dense path stays the oracle and the
-equivalence suite asserts sparse and dense produce identical metrics.
+The engine alone makes this choice, per batch, from a size it observes;
+every user-facing run, the live service and ingest-log replay run the same
+rule.  The constructor's ``sparse`` mode (:data:`SPARSE_MODES`, default
+``"auto"``) is the oracle seam: tests, benchmarks and the differential
+fuzzer force ``"never"`` (dense, the oracle) or ``"always"`` to compare the
+two pipelines.  Under a Hungarian tie the pipelines may pick different
+equal-objective matchings and so leave different fleet state (the caveat in
+:mod:`repro.dispatch.matching`).
 
 Fleet & order lifecycle
 -----------------------
@@ -156,6 +162,12 @@ class ArrayPolicy(Protocol):
 
     name: str
 
+    #: Emission order of :meth:`match_pairs`: ``"row"`` (ascending row, the
+    #: assignment solvers) or ``"cost"`` (ascending cost then row-major
+    #: position, the greedy scan).  The sparse pipeline merges its
+    #: per-component pairs back into this order.
+    match_order: str
+
     def reposition_arrays(
         self,
         fleet: FleetArrays,
@@ -182,23 +194,24 @@ class ArrayPolicy(Protocol):
         """
         ...
 
+    def match_single_orders(
+        self,
+        distance: np.ndarray,
+        cols: np.ndarray,
+        starts: np.ndarray,
+        revenue: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`match_pairs` on many one-order components at once.
 
-def supports_array_kernels(policy: object) -> bool:
-    """True if ``policy`` implements the vectorized kernel interface."""
-    return hasattr(policy, "reposition_arrays") and hasattr(policy, "match_pairs")
+        The stars' edges lie back to back, star ``i`` starting at
+        ``starts[i]``; ``revenue`` has one entry per star.  Returns, per
+        star, the index of its chosen edge, or ``-1`` for no match.
+        """
+        ...
 
-
-def supports_sparse_matching(policy: object) -> bool:
-    """True if ``policy`` can run the component-decomposed sparse pipeline.
-
-    Beyond the array kernels, the policy must declare its ``match_order``
-    (``"row"`` or ``"cost"``) so the engine can merge per-component pairs
-    back into the dense kernel's emission order.
-    """
-    return supports_array_kernels(policy) and getattr(policy, "match_order", None) in (
-        "row",
-        "cost",
-    )
+    def match_single_driver(self, distance: np.ndarray, revenue: np.ndarray) -> int:
+        """:meth:`match_pairs` on a one-driver component: the chosen row, or ``-1``."""
+        ...
 
 
 class VectorizedAssignmentEngine:
@@ -207,11 +220,10 @@ class VectorizedAssignmentEngine:
     Parameters mirror :class:`~repro.dispatch.simulator.TaskAssignmentSimulator`;
     the simulator instantiates this engine when ``engine="vector"``.
 
-    ``sparse`` selects the matching pipeline: ``"never"`` always builds the
-    dense candidate matrix (the PR 2 behaviour and the oracle), ``"always"``
-    always prunes through the grid index, ``"auto"`` (default) switches per
-    batch on :data:`SPARSE_AUTO_THRESHOLD`.  Policies that do not declare a
-    ``match_order`` fall back to the dense path regardless of the mode.
+    ``"auto"`` (default) picks the matching pipeline per batch on
+    :data:`SPARSE_AUTO_THRESHOLD`; ``sparse="never"`` (always dense, the
+    oracle) and ``"always"`` (always pruned through the grid index) force
+    one pipeline and are the oracle seam, not a user option.
     """
 
     def __init__(
@@ -223,17 +235,16 @@ class VectorizedAssignmentEngine:
         unserved_penalty_km: float = 5.0,
         sparse: str = "auto",
         sparse_threshold: int = SPARSE_AUTO_THRESHOLD,
-        sparse_resolution: Optional[int] = None,
         minutes_per_slot: Optional[float] = None,
     ) -> None:
+        if not batch_minutes > 0:
+            # Also rejects NaN; a batch that never advances the clock would
+            # spin the slot loop forever.
+            raise ValueError("batch_minutes must be positive")
         if sparse not in SPARSE_MODES:
             raise ValueError(f"sparse must be one of {SPARSE_MODES}")
         if sparse_threshold < 0:
             raise ValueError("sparse_threshold must be non-negative")
-        if sparse_resolution is not None and not 1 <= sparse_resolution <= 255:
-            # Fail at construction, not minutes into a run when the first
-            # sparse batch builds a GridBucketIndex.
-            raise ValueError("sparse_resolution must be in [1, 255]")
         if minutes_per_slot is not None and minutes_per_slot <= 0:
             raise ValueError("minutes_per_slot must be positive")
         self.policy = policy
@@ -243,9 +254,7 @@ class VectorizedAssignmentEngine:
         self.unserved_penalty_km = unserved_penalty_km
         self.sparse = sparse
         self.sparse_threshold = int(sparse_threshold)
-        self.sparse_resolution = sparse_resolution
         self.minutes_per_slot = minutes_per_slot
-        self._sparse_capable = supports_sparse_matching(policy)
 
     # ------------------------------------------------------------------ #
 
@@ -394,11 +403,9 @@ class VectorizedAssignmentEngine:
         return self.demand.hgrid_demand(day, slot)
 
     def _use_sparse(self, alive: int, idle: int) -> bool:
-        if not self._sparse_capable or self.sparse == "never":
-            return False
-        if self.sparse == "always":
-            return True
-        return alive * idle >= self.sparse_threshold
+        if self.sparse == "auto":
+            return alive * idle >= self.sparse_threshold
+        return self.sparse == "always"
 
     def _run_slot(
         self,
@@ -454,52 +461,48 @@ class VectorizedAssignmentEngine:
         speed = travel.speed_kmh
         n_orders = int(alive_x.size)
         empty = np.empty(0, dtype=np.intp)
-        index = GridBucketIndex(
-            idle_x, idle_y, travel, resolution=self.sparse_resolution
-        )
+        policy = self.policy
+        index = GridBucketIndex(idle_x, idle_y, travel)
         edge_rows, edge_cols, edge_km = self._pruned_edges(
             index, alive_x, alive_y, alive_waits, alive_limits, idle_x, idle_y
         )
         if edge_rows.size == 0:
             return empty, empty.copy(), np.empty(0, dtype=float)
         components = edge_components(edge_rows, edge_cols, n_orders, int(idle_x.size))
-        single_orders = getattr(self.policy, "match_single_orders", None)
-        single_driver = getattr(self.policy, "match_single_driver", None)
         out_rows: List[np.ndarray] = []
         out_cols: List[np.ndarray] = []
         out_km: List[np.ndarray] = []
-        if single_orders is not None:
-            # Star components (one order) hold exactly that order's edges,
-            # so their block solves collapse to the policy's single-row rule,
-            # applied to every star at once over its (row-grouped) edges.
-            star_rows = np.array(
-                [rows[0] for rows, _ in components if rows.size == 1], dtype=np.intp
+        # Star components (one order) hold exactly that order's edges, so
+        # their block solves collapse to the policy's single-row rule,
+        # applied to every star at once over its (row-grouped) edges.
+        star_rows = np.array(
+            [rows[0] for rows, _ in components if rows.size == 1], dtype=np.intp
+        )
+        if star_rows.size:
+            is_star = np.zeros(n_orders, dtype=bool)
+            is_star[star_rows] = True
+            star_edge = is_star[edge_rows]
+            star_cols = edge_cols[star_edge]
+            star_km = edge_km[star_edge]
+            counts = np.bincount(edge_rows[star_edge], minlength=n_orders)[star_rows]
+            chosen = policy.match_single_orders(
+                star_km, star_cols, np.cumsum(counts) - counts, alive_revenue[star_rows]
             )
-            if star_rows.size:
-                is_star = np.zeros(n_orders, dtype=bool)
-                is_star[star_rows] = True
-                star_edge = is_star[edge_rows]
-                star_cols = edge_cols[star_edge]
-                star_km = edge_km[star_edge]
-                counts = np.bincount(edge_rows[star_edge], minlength=n_orders)[star_rows]
-                chosen = single_orders(
-                    star_km, star_cols, np.cumsum(counts) - counts, alive_revenue[star_rows]
-                )
-                hit = chosen >= 0
-                out_rows.append(star_rows[hit])
-                out_cols.append(star_cols[chosen[hit]])
-                out_km.append(star_km[chosen[hit]])
+            hit = chosen >= 0
+            out_rows.append(star_rows[hit])
+            out_cols.append(star_cols[chosen[hit]])
+            out_km.append(star_km[chosen[hit]])
         for rows, cols in components:
-            if rows.size == 1 and single_orders is not None:
+            if rows.size == 1:
                 continue
-            if cols.size == 1 and single_driver is not None:
+            if cols.size == 1:
                 # Star component (one driver): every row is feasible for it.
                 col_km = np.asarray(
                     travel.distance_km(
                         alive_x[rows], alive_y[rows], idle_x[cols[0]], idle_y[cols[0]]
                     )
                 )
-                local = single_driver(col_km, alive_revenue[rows])
+                local = policy.match_single_driver(col_km, alive_revenue[rows])
                 if local < 0:
                     continue
                 out_rows.append(rows[local : local + 1])
@@ -513,7 +516,7 @@ class VectorizedAssignmentEngine:
             scratch *= 60.0
             scratch += alive_waits[rows][:, None]
             sub_feasible = scratch <= alive_limits[rows][:, None]
-            local_rows, local_cols = self.policy.match_pairs(
+            local_rows, local_cols = policy.match_pairs(
                 sub_distance, sub_feasible, alive_revenue[rows]
             )
             if local_rows.size == 0:
@@ -526,11 +529,11 @@ class VectorizedAssignmentEngine:
         rows = np.concatenate(out_rows)
         cols = np.concatenate(out_cols)
         pair_km = np.concatenate(out_km)
-        # Merge into the dense kernel's emission order (see
-        # merge_pairs_by_row / merge_pairs_by_cost in matching.py): ascending
-        # row for the assignment solvers, ascending (cost, row-major flat
-        # position) for the greedy scan.
-        if self.policy.match_order == "cost":
+        # Merge into the dense kernel's emission order: ascending row for the
+        # assignment solvers (rows are unique across components), ascending
+        # (cost, row-major flat position in the dense matrix) for the greedy
+        # scan.
+        if policy.match_order == "cost":
             order = np.lexsort((rows * int(idle_x.size) + cols, pair_km))
         else:
             order = np.argsort(rows, kind="stable")

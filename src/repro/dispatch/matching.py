@@ -10,7 +10,7 @@ to accumulate metrics in the same float-addition order as the scalar engine.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -242,25 +242,30 @@ def max_weight_pairs(
 # components.  Matchings never cross components (an infeasible pair is never
 # assigned), so each component can be solved independently with the dense
 # kernels above on a tiny submatrix instead of one O(n^3) solve over the
-# whole (orders x drivers) matrix.
+# whole (orders x drivers) matrix.  The vectorized engine's sparse pipeline
+# (``VectorizedAssignmentEngine._match_sparse``) is the one place that
+# decomposes, solves per block and merges; this section holds its
+# decomposition and pruning primitives.
 #
 # Canonical component ordering (relied on by the vectorized engine and the
 # result caches): components are listed by their smallest row (order) index,
 # and rows/columns inside a component are ascending.  Submatrices therefore
-# preserve the relative row/column order of the dense matrix, and the merged
-# pair list is re-sorted into exactly the dense kernel's emission order —
+# preserve the relative row/column order of the dense matrix, and the engine
+# re-sorts the merged pairs into exactly the dense kernel's emission order —
 # ascending row for the assignment solvers, ascending (cost, row-major
 # position) for the greedy scan.
 #
 # Equivalence caveat: a Hungarian solve has a unique answer up to ties; when
 # two assignments of equal total cost exist *inside one component*, SciPy's
-# tie-break on the small submatrix can in principle differ from its
-# tie-break on the full padded matrix.  The greedy kernels are exactly
-# equivalent by construction (the global stable (cost, position) scan order
-# restricted to a component equals the component's own scan order).  The
-# engine equivalence suite and the randomized property tests in
-# ``tests/dispatch/test_sparse_matching.py`` pin the behaviour on real
-# workloads; the dense path remains the oracle.
+# tie-break on the small submatrix can differ from its tie-break on the full
+# padded matrix, and the two pipelines then leave different fleet state at
+# the same objective (``tests/dispatch/test_hungarian_ties.py`` pins two
+# such matrices, ``tests/corpus/hungarian_tie.json`` a whole world).  The
+# greedy kernel is exactly equivalent by construction (the global stable
+# (cost, position) scan order restricted to a component equals the
+# component's own scan order).  The engine equivalence suite and the
+# randomized property tests in ``tests/dispatch/test_sparse_matching.py``
+# pin the behaviour on real workloads; the dense path remains the oracle.
 
 
 def edge_components(
@@ -402,113 +407,6 @@ def segmented_argbest(
     tied_cols = np.where(values == best, cols, np.iinfo(np.intp).max)
     best_col = np.repeat(np.minimum.reduceat(tied_cols, starts), lengths)
     return np.flatnonzero(tied_cols == best_col)
-
-
-def merge_pairs_by_row(
-    rows: np.ndarray, cols: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-order merged component pairs into ascending-row order.
-
-    This is the emission order of :func:`min_cost_pairs` /
-    :func:`max_weight_pairs` (``linear_sum_assignment`` returns rows
-    ascending, and rows are unique across components).
-    """
-    order = np.argsort(rows, kind="stable")
-    return rows[order], cols[order]
-
-
-def merge_pairs_by_cost(
-    rows: np.ndarray, cols: np.ndarray, costs: np.ndarray, n_cols: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-order merged component pairs into the greedy scan's emission order.
-
-    :func:`greedy_pairs_masked` emits accepted pairs in ascending
-    ``(cost, row-major position)`` order; ``n_cols`` is the column count of
-    the *dense* matrix so the flat position tie-break matches its stable
-    sort exactly.
-    """
-    flat = rows * n_cols + cols
-    order = np.lexsort((flat, costs))
-    return rows[order], cols[order]
-
-
-def _blocked_pairs(
-    cost: np.ndarray,
-    feasible: np.ndarray,
-    solver: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose ``feasible`` into components and run ``solver`` per block.
-
-    Returns the unmerged ``(rows, cols, costs)`` global pair arrays (in
-    canonical component order); callers apply the merge that matches their
-    dense kernel's emission order.
-    """
-    empty = np.empty(0, dtype=np.intp)
-    edge_rows, edge_cols = np.nonzero(feasible)
-    if edge_rows.size == 0:
-        return empty, empty.copy(), np.empty(0, dtype=float)
-    out_rows: List[np.ndarray] = []
-    out_cols: List[np.ndarray] = []
-    out_costs: List[np.ndarray] = []
-    for rows, cols in edge_components(edge_rows, edge_cols, *cost.shape):
-        sub_cost = cost[np.ix_(rows, cols)]
-        sub_feasible = feasible[np.ix_(rows, cols)]
-        local_rows, local_cols = solver(sub_cost, sub_feasible)
-        if local_rows.size == 0:
-            continue
-        out_rows.append(rows[local_rows])
-        out_cols.append(cols[local_cols])
-        out_costs.append(sub_cost[local_rows, local_cols])
-    if not out_rows:
-        return empty, empty.copy(), np.empty(0, dtype=float)
-    return (
-        np.concatenate(out_rows),
-        np.concatenate(out_cols),
-        np.concatenate(out_costs),
-    )
-
-
-def min_cost_pairs_blocked(
-    cost: np.ndarray, feasible: np.ndarray, max_cost: float = np.inf
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Component-decomposed :func:`min_cost_pairs`.
-
-    Solves each connected component of the feasibility graph independently
-    and merges the pairs back into ascending-row order.  Output-identical to
-    the dense kernel whenever each component's optimum is unique (see the
-    module caveat above).
-    """
-    rows, cols, _ = _blocked_pairs(
-        cost, feasible, lambda c, f: min_cost_pairs(c, f, max_cost=max_cost)
-    )
-    return merge_pairs_by_row(rows, cols)
-
-
-def max_weight_pairs_blocked(
-    weight: np.ndarray, feasible: np.ndarray, min_weight: float = 0.0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Component-decomposed :func:`max_weight_pairs`, merged by ascending row."""
-    rows, cols, _ = _blocked_pairs(
-        weight, feasible, lambda w, f: max_weight_pairs(w, f, min_weight=min_weight)
-    )
-    return merge_pairs_by_row(rows, cols)
-
-
-def greedy_pairs_masked_blocked(
-    cost: np.ndarray, feasible: np.ndarray, max_cost: float = np.inf
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Component-decomposed :func:`greedy_pairs_masked`.
-
-    Exactly equivalent to the dense greedy scan: acceptance conflicts only
-    arise within a component, and the global ascending (cost, row-major
-    position) merge reproduces the dense stable scan order bit for bit.
-    """
-    rows, cols, costs = _blocked_pairs(
-        cost, feasible, lambda c, f: greedy_pairs_masked(c, f, max_cost=max_cost)
-    )
-    if rows.size == 0:
-        return rows, cols
-    return merge_pairs_by_cost(rows, cols, costs, cost.shape[1])
 
 
 def maximum_weight_matching(weight: np.ndarray, min_weight: float = 0.0) -> Dict[int, int]:

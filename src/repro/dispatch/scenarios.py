@@ -185,6 +185,8 @@ class DispatchScenario:
             raise ValueError("fleet_size must be positive")
         if self.demand_scale <= 0:
             raise ValueError("demand_scale must be positive")
+        if not self.batch_minutes > 0:
+            raise ValueError("batch_minutes must be positive")
         if self.guidance not in ("oracle", "none") and self.guidance not in available_models():
             raise ValueError(
                 "guidance must be 'oracle', 'none' or a registered prediction "
@@ -389,10 +391,11 @@ class ScenarioBundle:
     ) -> TaskAssignmentSimulator:
         """A simulator for this bundle using the requested engine.
 
-        ``sparse`` selects the vectorized engine's matching pipeline
-        (``"auto"``/``"always"``/``"never"``); every mode produces identical
-        metrics, so it is an execution detail, not part of the scenario (or
-        its cache key).
+        ``sparse`` is the vectorized engine's oracle seam: ``"auto"`` (the
+        default, what every user-facing run uses) lets the engine pick dense
+        or sparse matching per batch; benchmarks and tests force
+        ``"always"``/``"never"`` to compare the pipelines.  It is not part of
+        the scenario or its cache key.
         """
         return TaskAssignmentSimulator(
             policy=self.scenario.make_policy(),
@@ -578,12 +581,11 @@ def run_scenario(
     scenario: DispatchScenario,
     engine: str = "vector",
     dataset: Optional[EventDataset] = None,
-    sparse: str = "auto",
 ) -> ScenarioResult:
     """Build the scenario's inputs and simulate it once."""
     bundle = build_scenario_bundle(scenario, dataset=dataset)
     start = wall_clock()
-    metrics = bundle.run(engine=engine, sparse=sparse)
+    metrics = bundle.run(engine=engine)
     return ScenarioResult(
         scenario=scenario,
         metrics=metrics,

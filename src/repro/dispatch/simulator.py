@@ -15,8 +15,7 @@ Two interchangeable engines execute the loop:
 
 * ``engine="vector"`` (default) — the struct-of-arrays engine in
   :mod:`repro.dispatch.engine`, which runs the per-minute steps as batched
-  array passes.  Used whenever the policy implements the array kernels
-  (POLAR and LS do).
+  array passes.
 * ``engine="scalar"`` — the original per-``Driver``/``Order`` object loop,
   kept verbatim as the reference oracle; the equivalence tests assert the
   vectorized engine reproduces its :class:`DispatchMetrics` bit for bit under
@@ -32,9 +31,10 @@ import numpy as np
 
 from repro.dispatch.demand import PredictedDemandProvider
 from repro.dispatch.engine import (
+    SPARSE_AUTO_THRESHOLD,
+    SPARSE_MODES,
     VectorizedAssignmentEngine,
     infer_minutes_per_slot,
-    supports_array_kernels,
 )
 from repro.dispatch.entities import (
     DAY_MINUTES,
@@ -169,19 +169,19 @@ class TaskAssignmentSimulator:
         pass it explicitly, which sizes offset slot windows (e.g. replaying
         only the evening slots) exactly.
     engine:
-        ``"vector"`` (default) runs the struct-of-arrays engine; ``"scalar"``
-        forces the original per-object loop.  Policies without array kernels
-        always fall back to the scalar loop.
+        ``"vector"`` (default) runs the struct-of-arrays engine, which needs
+        a policy with the array kernels (POLAR and LS have them);
+        ``"scalar"`` forces the original per-object loop.
     sparse:
-        Matching pipeline of the vectorized engine: ``"auto"`` (default)
-        switches to grid-bucketed candidate pruning with component-decomposed
-        matching on large batches, ``"always"`` forces it, ``"never"`` keeps
-        the dense candidate matrix.  All modes produce identical metrics (the
-        dense path is the oracle); ignored by the scalar engine.
+        The vectorized engine's oracle seam (see
+        :class:`~repro.dispatch.engine.VectorizedAssignmentEngine`):
+        ``"auto"`` (default) lets the engine pick dense or sparse matching
+        per batch, ``"always"``/``"never"`` force one pipeline for the
+        equivalence tests and the fuzzer; ignored by the scalar engine.
     sparse_threshold:
         Batch size (``pending * idle`` cells) at which ``sparse="auto"``
-        switches to the sparse pipeline.  ``None`` (default) keeps the
-        engine's :data:`~repro.dispatch.engine.SPARSE_AUTO_THRESHOLD`; the
+        switches to the sparse pipeline (default
+        :data:`~repro.dispatch.engine.SPARSE_AUTO_THRESHOLD`); the
         differential fuzzer lowers it so micro worlds exercise the auto seam.
     """
 
@@ -193,20 +193,20 @@ class TaskAssignmentSimulator:
     seed: RandomState = None
     engine: str = "vector"
     sparse: str = "auto"
-    sparse_threshold: Optional[int] = None
+    sparse_threshold: int = SPARSE_AUTO_THRESHOLD
     minutes_per_slot: Optional[float] = None
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.batch_minutes <= 0:
+        if not self.batch_minutes > 0:
             raise ValueError("batch_minutes must be positive")
         if self.unserved_penalty_km < 0:
             raise ValueError("unserved_penalty_km must be non-negative")
         if self.engine not in ("vector", "scalar"):
             raise ValueError("engine must be 'vector' or 'scalar'")
-        if self.sparse not in ("auto", "always", "never"):
-            raise ValueError("sparse must be 'auto', 'always' or 'never'")
-        if self.sparse_threshold is not None and self.sparse_threshold < 0:
+        if self.sparse not in SPARSE_MODES:
+            raise ValueError(f"sparse must be one of {SPARSE_MODES}")
+        if self.sparse_threshold < 0:
             raise ValueError("sparse_threshold must be non-negative")
         if self.minutes_per_slot is not None and self.minutes_per_slot <= 0:
             raise ValueError("minutes_per_slot must be positive")
@@ -248,14 +248,10 @@ class TaskAssignmentSimulator:
             )
         if days is not None and per_day is None and days != 1:
             raise ValueError("days > 1 requires one order stream per day")
-        use_vector = self.engine == "vector" and supports_array_kernels(self.policy)
-        if use_vector:
+        if self.engine == "vector":
             return self._run_vector(orders, per_day, drivers, day=day, slots=slots)
         if isinstance(drivers, FleetArrays):
-            raise ValueError(
-                "FleetArrays input requires the vectorized engine and a policy "
-                "with array kernels"
-            )
+            raise ValueError("FleetArrays input requires the vectorized engine")
         if per_day is None:
             per_day = [orders]
         scalar_days: List[List[Order]] = [
@@ -307,9 +303,6 @@ class TaskAssignmentSimulator:
             if not driver_objects:
                 raise ValueError("at least one driver is required")
             fleet = FleetArrays.from_drivers(driver_objects)
-        engine_kwargs = {}
-        if self.sparse_threshold is not None:
-            engine_kwargs["sparse_threshold"] = self.sparse_threshold
         engine = VectorizedAssignmentEngine(
             policy=self.policy,
             travel=self.travel,
@@ -317,8 +310,8 @@ class TaskAssignmentSimulator:
             batch_minutes=self.batch_minutes,
             unserved_penalty_km=self.unserved_penalty_km,
             sparse=self.sparse,
+            sparse_threshold=self.sparse_threshold,
             minutes_per_slot=self.minutes_per_slot,
-            **engine_kwargs,
         )
         metrics = engine.run(engine_orders, fleet, self._rng, day=day, slots=slots)
         if driver_objects is not None:

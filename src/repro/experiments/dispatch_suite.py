@@ -49,7 +49,6 @@ def run_dispatch_suite(
     engine: str = "vector",
     matching: str = "optimal",
     executor: str = "thread",
-    sparse: str = "auto",
     guidance: str = "oracle",
     scenario_family: str = "grid",
     test_days: int = 1,
@@ -106,5 +105,4 @@ def run_dispatch_suite(
         max_workers=max_workers,
         engine=engine,
         executor=executor,
-        sparse=sparse,
     ).run()

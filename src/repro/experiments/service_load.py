@@ -51,7 +51,6 @@ def run_service_load(
     ingest_log: Optional[str] = None,
     max_batch: int = 256,
     cadence_seconds: float = 0.05,
-    sparse: str = "auto",
     url: Optional[str] = None,
     check_replay: bool = True,
     max_pending: Optional[int] = None,
@@ -79,7 +78,6 @@ def run_service_load(
     if url is None:
         config = ServiceConfig(
             scenario=scenario,
-            sparse=sparse,
             max_batch=max_batch,
             cadence_seconds=cadence_seconds,
             ingest_log=ingest_log,

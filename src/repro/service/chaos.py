@@ -137,7 +137,6 @@ def _offline_metrics(
         travel=bundle.travel,
         demand=bundle.provider,
         batch_minutes=scenario.batch_minutes,
-        sparse="auto",
         minutes_per_slot=bundle.minutes_per_slot,
     )
     rng = default_rng(

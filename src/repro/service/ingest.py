@@ -41,7 +41,7 @@ from repro.utils.cache import canonical_json
 from repro.utils.rng import default_rng, seed_for
 
 #: Bump when the log layout changes so stale logs fail loudly on replay.
-INGEST_SCHEMA = 1
+INGEST_SCHEMA = 2
 
 #: Order fields written to the log, in OrderArrays column order.
 ORDER_LOG_FIELDS = (
@@ -62,7 +62,6 @@ def service_header(
     minutes_per_slot: float,
     batch_minutes: float,
     unserved_penalty_km: float,
-    sparse: str,
     day: int = 0,
 ) -> Dict[str, Any]:
     """The log's first line: everything a replay needs to rebuild the run."""
@@ -76,7 +75,6 @@ def service_header(
         "minutes_per_slot": float(minutes_per_slot),
         "batch_minutes": float(batch_minutes),
         "unserved_penalty_km": float(unserved_penalty_km),
-        "sparse": sparse,
         "day": int(day),
     }
 
@@ -275,7 +273,6 @@ class ReplayResult:
 def replay_ingest_log(
     path: Union[str, Path],
     bundle: Optional[ScenarioBundle] = None,
-    sparse: Optional[str] = None,
 ) -> ReplayResult:
     """Replay a recorded service run offline; the determinism bridge.
 
@@ -284,8 +281,7 @@ def replay_ingest_log(
     part), spawns a fresh fleet, and runs the logged stream through
     :meth:`VectorizedAssignmentEngine.run` with the recorded engine
     parameters.  The returned metrics must equal the live run's
-    bit-for-bit; ``sparse`` optionally overrides the recorded matching
-    pipeline (every mode produces identical metrics).
+    bit-for-bit.
     """
     contents = read_ingest_log(path)
     header, records = contents.header, contents.records
@@ -300,7 +296,6 @@ def replay_ingest_log(
         demand=bundle.provider,
         batch_minutes=float(header["batch_minutes"]),
         unserved_penalty_km=float(header["unserved_penalty_km"]),
-        sparse=sparse if sparse is not None else header["sparse"],
         minutes_per_slot=float(header["minutes_per_slot"]),
     )
     fleet = bundle.spawn_fleet()

@@ -145,7 +145,6 @@ class ServiceConfig:
     """Static configuration of one service run."""
 
     scenario: DispatchScenario
-    sparse: str = "auto"
     max_batch: int = 256
     cadence_seconds: float = 0.05
     ingest_log: Optional[str] = None
@@ -331,7 +330,6 @@ class DispatchService:
         cls,
         log_path: Union[str, Path],
         bundle: Optional[ScenarioBundle] = None,
-        sparse: Optional[str] = None,
         max_batch: int = 256,
         cadence_seconds: float = 0.05,
         max_pending: Optional[int] = None,
@@ -347,9 +345,8 @@ class DispatchService:
         it).  The scenario, engine parameters and simulation seed come from
         the log header; runtime knobs (batching cadence, backpressure cap,
         durability, fault plan) are the caller's, since they describe the
-        *new* process.  ``sparse=None`` keeps the recorded matching
-        pipeline.  Returns a serving service already appending to the same
-        log.
+        *new* process.  Returns a serving service already appending to the
+        same log.
 
         **The bit-identity contract.**  A run that crashes after N batches,
         recovers, and then receives the rest of the stream finishes with
@@ -369,7 +366,6 @@ class DispatchService:
         header = contents.header
         config = ServiceConfig(
             scenario=scenario_from_payload(header["scenario"]),
-            sparse=str(header["sparse"]) if sparse is None else sparse,
             max_batch=max_batch,
             cadence_seconds=cadence_seconds,
             ingest_log=str(log_path),
@@ -403,7 +399,6 @@ class DispatchService:
             travel=bundle.travel,
             demand=bundle.provider,
             batch_minutes=scenario.batch_minutes,
-            sparse=self.config.sparse,
             minutes_per_slot=bundle.minutes_per_slot,
         )
         if contents is None:
@@ -412,7 +407,6 @@ class DispatchService:
                 minutes_per_slot=self.minutes_per_slot,
                 batch_minutes=engine.batch_minutes,
                 unserved_penalty_km=engine.unserved_penalty_km,
-                sparse=self.config.sparse,
                 day=self.config.day,
             )
             records: List[Dict[str, Any]] = []

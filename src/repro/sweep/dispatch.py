@@ -106,12 +106,11 @@ def _simulate_scenario(
     dataset: EventDataset,
     providers: Dict[Tuple, Any],
     engine: str,
-    sparse: str,
 ) -> ScenarioOutcome:
     """Simulate one scenario; ``providers`` shares trained guidance models."""
     scenario_start = wall_clock()
     bundle = build_scenario_bundle(scenario, dataset=dataset, provider_cache=providers)
-    metrics = bundle.run(engine=engine, sparse=sparse)
+    metrics = bundle.run(engine=engine)
     return ScenarioOutcome(
         scenario=scenario,
         metrics=metrics,
@@ -138,11 +137,12 @@ class DispatchSuiteRunner(CachedSuiteRunner[DispatchScenario, ScenarioOutcome]):
         for processes.
     engine:
         ``"vector"`` (default) or ``"scalar"`` — which simulation engine runs
-        cache misses.  Both produce identical metrics; the engine name is
-        recorded per outcome and is part of the cache key only through the
-        metrics being engine-independent (i.e. it is *not* keyed, so a
+        cache misses.  The scalar oracle replays the vector engine's dense
+        path bit for bit; a sparse batch may differ from both under a
+        Hungarian tie (the caveat in :mod:`repro.dispatch.matching`).  The
+        engine name is recorded per outcome but *not* keyed, so a
         scalar-engine run warms the cache for vector-engine reruns and vice
-        versa).
+        versa.
     executor:
         ``"thread"`` (default) or ``"process"``.  Matching-heavy scenarios
         are GIL-bound, so the process backend fans cache misses out to a
@@ -150,10 +150,6 @@ class DispatchSuiteRunner(CachedSuiteRunner[DispatchScenario, ScenarioOutcome]):
         unique dataset signature so each dataset is still generated exactly
         once.  Cache lookups and writes stay in the parent process, so both
         backends produce identical cached JSON bytes.
-    sparse:
-        Matching pipeline of the vectorized engine
-        (``"auto"``/``"always"``/``"never"``); an execution detail with no
-        effect on metrics or cache keys.
     """
 
     item_name = "scenario"
@@ -169,15 +165,11 @@ class DispatchSuiteRunner(CachedSuiteRunner[DispatchScenario, ScenarioOutcome]):
         max_workers: Optional[int] = None,
         engine: str = "vector",
         executor: str = "thread",
-        sparse: str = "auto",
     ) -> None:
         if engine not in ("vector", "scalar"):
             raise ValueError("engine must be 'vector' or 'scalar'")
-        if sparse not in ("auto", "always", "never"):
-            raise ValueError("sparse must be 'auto', 'always' or 'never'")
         super().__init__(scenarios, cache_dir=cache_dir, max_workers=max_workers, executor=executor)
         self.engine = engine
-        self.sparse = sparse
         # Demand-guidance providers shared across scenarios with equal
         # guidance_signature (one predictor training per signature, not per
         # scenario).  Dict reads/writes are GIL-atomic; a rare concurrent
@@ -194,9 +186,7 @@ class DispatchSuiteRunner(CachedSuiteRunner[DispatchScenario, ScenarioOutcome]):
 
     @property
     def compute(self) -> partial:
-        return partial(
-            _simulate_scenario, providers=self._providers, engine=self.engine, sparse=self.sparse
-        )
+        return partial(_simulate_scenario, providers=self._providers, engine=self.engine)
 
 
 def suite_scenarios(

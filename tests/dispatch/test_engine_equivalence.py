@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.grid import GridLayout
 from repro.dispatch.demand import PredictedDemandProvider
+from repro.dispatch.engine import VectorizedAssignmentEngine
 from repro.dispatch.entities import Driver, FleetArrays, Order, OrderArrays
 from repro.dispatch.ls import LSDispatcher
 from repro.dispatch.matching import (
@@ -181,22 +182,14 @@ class TestEngineEquivalence:
         with pytest.raises(ValueError):
             TaskAssignmentSimulator(POLARDispatcher(), TRAVEL, engine="gpu")
 
-    def test_policy_without_kernels_falls_back_to_scalar(self):
-        class NearestOnly:
-            name = "nearest"
-
-            def reposition(self, drivers, predicted, travel, minute, rng):
-                return None
-
-            def assign(self, orders, drivers, travel, minute):
-                return {0: 0} if orders and drivers else {}
-
-        rng = np.random.default_rng(41)
-        orders = make_orders(rng, 10)
-        drivers = spawn_drivers(4, np.random.default_rng(9))
-        simulator = TaskAssignmentSimulator(NearestOnly(), TRAVEL, engine="vector")
-        metrics = simulator.run(orders, drivers)
-        assert metrics.total_orders == 10
+    @pytest.mark.parametrize("batch_minutes", [0.0, -2.0, float("nan")])
+    def test_engine_rejects_non_positive_batch_minutes(self, batch_minutes):
+        # The service session and ingest-log replay build the engine
+        # directly; a zero-length batch would never advance the slot clock.
+        with pytest.raises(ValueError, match="batch_minutes"):
+            VectorizedAssignmentEngine(POLARDispatcher(), TRAVEL, batch_minutes=batch_minutes)
+        with pytest.raises(ValueError, match="batch_minutes"):
+            TaskAssignmentSimulator(POLARDispatcher(), TRAVEL, batch_minutes=batch_minutes)
 
 
 class TestSpawnFleet:

@@ -52,6 +52,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             DispatchScenario(city="nyc_like", matching="fastest")
 
+    @pytest.mark.parametrize("batch_minutes", [0.0, -2.0, float("nan")])
+    def test_non_positive_batch_minutes_rejected(self, batch_minutes):
+        # A zero-length batch never advances the engine's slot clock.
+        with pytest.raises(ValueError, match="batch_minutes"):
+            DispatchScenario(city="nyc_like", batch_minutes=batch_minutes)
+
     def test_demand_scale_multiplies_city_scale(self):
         scenario = small_scenario(demand_scale=2.0)
         assert scenario.effective_scale == pytest.approx(2 * SMALL["scale"])

@@ -1,13 +1,14 @@
-"""Sparse matching pipeline tests: components, blocked kernels, engine parity.
+"""Sparse matching pipeline tests: components, star fast paths, engine parity.
 
 Three layers are pinned here:
 
 1. :func:`edge_components` — the bipartite decomposition is a true partition
    of the feasibility graph, in the documented canonical order (components by
    ascending minimum row, indices ascending inside).
-2. The ``*_blocked`` kernels — solving each component independently
-   reproduces the dense kernels' pairs across randomized matrices and the
-   degenerate shapes (empty, all-infeasible, single cell, star blocks).
+2. The engine's one decompose/solve/merge (``_match_sparse``) reproduces the
+   dense kernels' pairs batch by batch — randomized batches, greedy ties,
+   degenerate shapes and star blocks — and the policies' star-component
+   rules agree with their ``match_pairs`` kernels.
 3. The engine — ``sparse="always"`` replays ``sparse="never"`` (the dense
    oracle) bit-for-bit: metrics, final driver state and RNG stream position,
    for every policy.
@@ -16,23 +17,12 @@ Three layers are pinned here:
 import numpy as np
 import pytest
 
-from repro.dispatch.engine import (
-    SPARSE_AUTO_THRESHOLD,
-    VectorizedAssignmentEngine,
-    supports_sparse_matching,
-)
+from repro.dispatch.engine import SPARSE_AUTO_THRESHOLD, VectorizedAssignmentEngine
 from repro.dispatch.ls import LSDispatcher
-from repro.dispatch.matching import (
-    edge_components,
-    greedy_pairs_masked,
-    greedy_pairs_masked_blocked,
-    max_weight_pairs,
-    max_weight_pairs_blocked,
-    min_cost_pairs,
-    min_cost_pairs_blocked,
-)
+from repro.dispatch.matching import edge_components
 from repro.dispatch.polar import POLARDispatcher
 from repro.dispatch.simulator import TaskAssignmentSimulator, spawn_drivers
+from repro.dispatch.travel import TravelModel
 
 from tests.dispatch.test_engine_equivalence import (
     TRAVEL,
@@ -112,82 +102,129 @@ class TestEdgeComponents:
             edge_components(np.array([0]), np.array([7]), 2, 2)
 
 
-class TestBlockedKernels:
-    def random_case(self, seed, infeasible=0.5, shape=None):
-        rng = np.random.default_rng(seed)
-        if shape is None:
-            shape = (int(rng.integers(1, 14)), int(rng.integers(1, 18)))
-        cost = rng.uniform(0, 10, size=shape)
-        feasible = rng.random(shape) > infeasible
-        return cost, feasible
+def dense_batch(engine, order_x, order_y, waits, limits, revenue, idle_x, idle_y):
+    """The engine's dense batch solve: full matrix, exact feasibility, kernel."""
+    travel = engine.travel
+    distance = travel.pairwise_km(order_x, order_y, idle_x, idle_y)
+    feasible = distance / travel.speed_kmh * 60.0 + waits[:, None] <= limits[:, None]
+    rows, cols = engine.policy.match_pairs(distance, feasible, revenue)
+    return rows, cols, distance[rows, cols]
 
+
+def assert_sparse_equals_dense(engine, *batch):
+    dense = dense_batch(engine, *batch)
+    sparse = engine._match_sparse(*batch)
+    for expected, actual in zip(dense, sparse):
+        assert np.array_equal(expected, actual)
+
+
+def random_batch(seed, shape=None):
+    """One batch of alive orders and idle drivers, split into several components."""
+    rng = np.random.default_rng(seed)
+    if shape is None:
+        shape = (int(rng.integers(1, 14)), int(rng.integers(1, 18)))
+    n_orders, n_drivers = shape
+    waits = rng.uniform(0, 5, n_orders)
+    return (
+        rng.random(n_orders),
+        rng.random(n_orders),
+        waits,
+        waits + rng.uniform(0, 6, n_orders),
+        rng.uniform(2, 20, n_orders),
+        rng.random(n_drivers),
+        rng.random(n_drivers),
+    )
+
+
+# Euclidean distances make exact cost ties a measure-zero event, so the
+# per-component assignment solvers must reproduce the full-matrix pairs.
+EUCLIDEAN = TravelModel(width_km=9.0, height_km=11.0, speed_kmh=27.0, metric="euclidean")
+
+
+class TestMatchSparseEqualsDense:
+    """Decompose/solve/merge reproduces the dense kernels' pairs per batch."""
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
     @pytest.mark.parametrize("seed", range(12))
-    def test_min_cost_blocked_equals_dense(self, seed):
-        cost, feasible = self.random_case(seed)
-        dense = min_cost_pairs(cost, feasible, max_cost=60.0)
-        blocked = min_cost_pairs_blocked(cost, feasible, max_cost=60.0)
-        assert all(np.array_equal(a, b) for a, b in zip(dense, blocked))
+    def test_random_batches(self, policy_name, seed):
+        engine = VectorizedAssignmentEngine(make_policy(policy_name), EUCLIDEAN)
+        assert_sparse_equals_dense(engine, *random_batch(seed))
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_max_weight_blocked_equals_dense(self, seed):
-        weight, feasible = self.random_case(seed)
-        dense = max_weight_pairs(weight, feasible, min_weight=2.0)
-        blocked = max_weight_pairs_blocked(weight, feasible, min_weight=2.0)
-        assert all(np.array_equal(a, b) for a, b in zip(dense, blocked))
+    def test_greedy_exact_on_ties(self):
+        """The greedy merge order is exact even under cost ties."""
+        engine = VectorizedAssignmentEngine(make_policy("polar_greedy"), TRAVEL)
+        # Two far-apart translated copies of one 2x2 cluster; each order is
+        # exactly equidistant from both drivers of its cluster, and the two
+        # clusters tie with each other (dyadic coordinates, exact floats).
+        order_x = np.array([0.125, 0.125, 0.75, 0.75])
+        order_y = np.array([0.125, 0.25, 0.75, 0.875])
+        idle_x = np.array([0.0625, 0.1875, 0.6875, 0.8125])
+        idle_y = np.array([0.125, 0.125, 0.75, 0.75])
+        waits = np.zeros(4)
+        limits = np.full(4, 5.0)
+        revenue = np.full(4, 10.0)
+        batch = (order_x, order_y, waits, limits, revenue, idle_x, idle_y)
+        distance = TRAVEL.pairwise_km(order_x, order_y, idle_x, idle_y)
+        assert distance[0, 0] == distance[0, 1] == distance[2, 2] == distance[2, 3]
+        assert distance[1, 0] == distance[1, 1] == distance[3, 2] == distance[3, 3]
+        assert len(edge_components(*np.nonzero(distance < 5.0), 4, 4)) == 2
+        assert len(dense_batch(engine, *batch)[0]) == 4
+        assert_sparse_equals_dense(engine, *batch)
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_greedy_blocked_equals_dense(self, seed):
-        cost, feasible = self.random_case(seed)
-        dense = greedy_pairs_masked(cost, feasible, max_cost=60.0)
-        blocked = greedy_pairs_masked_blocked(cost, feasible, max_cost=60.0)
-        assert all(np.array_equal(a, b) for a, b in zip(dense, blocked))
-
-    def test_greedy_blocked_exact_on_ties(self):
-        """Greedy decomposition is exactly equivalent even under cost ties."""
-        cost = np.array(
-            [
-                [1.0, 1.0, 9.0, 9.0],
-                [1.0, 2.0, 9.0, 9.0],
-                [9.0, 9.0, 1.0, 1.0],
-                [9.0, 9.0, 1.0, 1.0],
-            ]
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_degenerate_shapes(self, policy_name):
+        engine = VectorizedAssignmentEngine(make_policy(policy_name), EUCLIDEAN)
+        # All-infeasible: no slack at all, drivers away from the orders.
+        far = (
+            np.array([0.1, 0.2, 0.3]),
+            np.array([0.1, 0.2, 0.3]),
+            np.full(3, 4.0),
+            np.full(3, 4.0),
+            np.full(3, 10.0),
+            np.array([0.9, 0.8, 0.7, 0.6]),
+            np.array([0.9, 0.8, 0.7, 0.6]),
         )
-        feasible = cost < 5.0  # two 2x2 components with internal ties
-        dense = greedy_pairs_masked(cost, feasible, max_cost=60.0)
-        blocked = greedy_pairs_masked_blocked(cost, feasible, max_cost=60.0)
-        assert all(np.array_equal(a, b) for a, b in zip(dense, blocked))
-
-    def test_degenerate_shapes(self):
-        empty_cost = np.empty((0, 0))
-        empty_mask = np.empty((0, 0), dtype=bool)
-        for kernel in (
-            min_cost_pairs_blocked,
-            max_weight_pairs_blocked,
-            greedy_pairs_masked_blocked,
-        ):
-            assert kernel(empty_cost, empty_mask)[0].size == 0
-            # All-infeasible: no components, no pairs.
-            assert kernel(np.ones((3, 4)), np.zeros((3, 4), dtype=bool))[0].size == 0
-            # Single cell.
-            one = kernel(np.array([[2.0]]), np.array([[True]]))
-            assert (one[0].tolist(), one[1].tolist()) == ([0], [0])
+        assert engine._match_sparse(*far)[0].size == 0
+        assert_sparse_equals_dense(engine, *far)
+        # Single cell.
+        one = tuple(np.array([value]) for value in (0.5, 0.5, 0.0, 10.0, 9.0, 0.52, 0.5))
+        rows, cols, _ = engine._match_sparse(*one)
+        assert (rows.tolist(), cols.tolist()) == ([0], [0])
+        assert_sparse_equals_dense(engine, *one)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_star_blocks(self, seed):
-        """Single-row and single-column components (the engine's fast path)."""
+        """Single-order and single-driver components (the engine's fast paths)."""
         rng = np.random.default_rng(seed)
-        cost = rng.uniform(0, 10, size=(6, 9))
-        feasible = np.zeros((6, 9), dtype=bool)
-        feasible[0, :4] = True  # 1 x k star
-        feasible[2:5, 6] = True  # k x 1 star
-        for dense_kernel, blocked_kernel in (
-            (min_cost_pairs, min_cost_pairs_blocked),
-            (max_weight_pairs, max_weight_pairs_blocked),
-            (greedy_pairs_masked, greedy_pairs_masked_blocked),
-        ):
-            dense = dense_kernel(cost, feasible)
-            blocked = blocked_kernel(cost, feasible)
-            assert all(np.array_equal(a, b) for a, b in zip(dense, blocked))
+        # A 1 x 4 star around order 0 and a 3 x 1 star around driver 6; the
+        # other orders and drivers sit far apart and stay unmatched.
+        order_x = np.array([0.10, 0.95, 0.50, 0.51, 0.49, 0.05])
+        order_y = np.array([0.10, 0.05, 0.50, 0.49, 0.51, 0.95])
+        idle_x = np.concatenate([0.10 + rng.uniform(-0.02, 0.02, 4), [0.70, 0.30]])
+        idle_y = np.concatenate([0.10 + rng.uniform(-0.02, 0.02, 4), [0.30, 0.70]])
+        idle_x = np.insert(idle_x, 6, 0.50 + rng.uniform(-0.01, 0.01))
+        idle_y = np.insert(idle_y, 6, 0.50 + rng.uniform(-0.01, 0.01))
+        waits = np.zeros(6)
+        limits = np.full(6, 2.0)
+        revenue = rng.uniform(2, 20, 6)
+        batch = (order_x, order_y, waits, limits, revenue, idle_x, idle_y)
+        for policy_name in POLICIES:
+            engine = VectorizedAssignmentEngine(make_policy(policy_name), EUCLIDEAN)
+            components = edge_components(
+                *np.nonzero(
+                    EUCLIDEAN.pairwise_km(order_x, order_y, idle_x, idle_y)
+                    / EUCLIDEAN.speed_kmh
+                    * 60.0
+                    <= limits[:, None]
+                ),
+                6,
+                7,
+            )
+            assert [(r.tolist(), c.tolist()) for r, c in components] == [
+                ([0], [0, 1, 2, 3]),
+                ([2, 3, 4], [6]),
+            ]
+            assert_sparse_equals_dense(engine, *batch)
 
 
 class TestSingleMatchFastPaths:
@@ -281,42 +318,4 @@ class TestEngineSparseEquivalence:
         with pytest.raises(ValueError):
             VectorizedAssignmentEngine(POLARDispatcher(), TRAVEL, sparse_threshold=-1)
         with pytest.raises(ValueError):
-            VectorizedAssignmentEngine(POLARDispatcher(), TRAVEL, sparse_resolution=300)
-        with pytest.raises(ValueError):
-            VectorizedAssignmentEngine(POLARDispatcher(), TRAVEL, sparse_resolution=0)
-
-    def test_supports_sparse_matching(self):
-        assert supports_sparse_matching(POLARDispatcher())
-        assert supports_sparse_matching(POLARDispatcher(use_optimal_matching=False))
-        assert supports_sparse_matching(LSDispatcher())
-
-        class NoOrder:
-            def reposition_arrays(self, *args):
-                pass
-
-            def match_pairs(self, *args):
-                pass
-
-        assert not supports_sparse_matching(NoOrder())
-
-    def test_policy_without_match_order_falls_back_to_dense(self):
-        """sparse='always' must not break policies lacking the sparse contract."""
-
-        class DenseOnly(POLARDispatcher):
-            @property
-            def match_order(self):
-                return None
-
-        rng = np.random.default_rng(9)
-        orders = make_orders(rng, 30)
-        provider = make_provider(rng)
-        metrics = {}
-        for policy in (POLARDispatcher(), DenseOnly()):
-            drivers = spawn_drivers(8, np.random.default_rng(10))
-            simulator = TaskAssignmentSimulator(
-                policy, TRAVEL, demand=provider, seed=5, engine="vector", sparse="always"
-            )
-            metrics[type(policy).__name__] = simulator.run(
-                orders, drivers, day=0, slots=[16, 17]
-            )
-        assert metrics["DenseOnly"] == metrics["POLARDispatcher"]
+            TaskAssignmentSimulator(POLARDispatcher(), TRAVEL, sparse_threshold=-1)

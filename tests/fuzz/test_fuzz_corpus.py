@@ -16,6 +16,7 @@ writes repro files in exactly this format) and committing the file here.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
@@ -62,3 +63,20 @@ def test_corpus_entry_round_trips_through_the_payload(path):
     payload = json.loads(path.read_text())
     world = FuzzWorld.from_payload(payload["world"])
     assert FuzzWorld.from_payload(world.to_payload()) == world
+
+
+def test_greedy_matching_is_exact_on_the_hungarian_tie_world():
+    """The greedy scan decomposes exactly, so it needs no tie grace.
+
+    The world that splits the Hungarian solvers' dense and sparse pipelines
+    is replayed under POLAR's greedy matcher: the dense, sparse and mixed
+    vector runs must agree bit for bit — metrics, fleet state and RNG
+    position — with each other and with the scalar oracle.
+    """
+    payload = json.loads((CORPUS_DIR / "hungarian_tie.json").read_text())
+    world = dataclasses.replace(FuzzWorld.from_payload(payload["world"]), policy="polar_greedy")
+    result = run_differential(world)
+    assert result.verdict == "ok", [d.to_payload() for d in result.divergences]
+    dense = result.outcomes["vector-dense"]
+    for mode in ("vector-sparse", "vector-mixed"):
+        assert result.outcomes[mode].diff_against(dense) == [], mode

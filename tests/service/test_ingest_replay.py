@@ -35,14 +35,6 @@ class TestReplayBridge:
         # Dataclass equality is exact float equality: the bridge's contract.
         assert result.metrics == report.metrics
 
-    def test_replay_sparse_override_still_identical(self, scenario, bundle, tmp_path):
-        log = tmp_path / "ingest.jsonl"
-        report = run_service(scenario, bundle, log)
-        for sparse in ("always", "never"):
-            assert replay_ingest_log(log, bundle=bundle, sparse=sparse).metrics == (
-                report.metrics
-            )
-
     def test_two_runs_write_byte_identical_logs(self, scenario, bundle, tmp_path):
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_service(scenario, bundle, first)
@@ -86,6 +78,20 @@ class TestLogValidation:
         doctored.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="unsupported ingest schema"):
             read_ingest_log(doctored)
+
+    def test_schema_1_log_with_a_sparse_mode_rejected(self, scenario, bundle, tmp_path):
+        # Schema 1 recorded a user-set matching mode; replaying one now
+        # would silently ignore it, so such logs fail loudly instead.
+        log = tmp_path / "ingest.jsonl"
+        run_service(scenario, bundle, log, count=5)
+        header = dict(read_ingest_log(log).header)
+        assert "sparse" not in header
+        header.update(schema=1, sparse="never")
+        lines = log.read_text().splitlines()
+        lines[0] = json.dumps(header)
+        log.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="unsupported ingest schema 1"):
+            replay_ingest_log(log, bundle=bundle)
 
     def test_bundle_mismatch_rejected(self, scenario, bundle, tmp_path):
         import dataclasses

@@ -140,18 +140,11 @@ class TestDispatchSuiteRunner:
 
         assert _CACHE_SCHEMA >= 2
 
-    def test_invalid_executor_and_sparse(self):
+    def test_invalid_executor_and_engine(self):
         with pytest.raises(ValueError):
             DispatchSuiteRunner(small_scenarios(), executor="fiber")
         with pytest.raises(ValueError):
-            DispatchSuiteRunner(small_scenarios(), sparse="maybe")
-
-    def test_sparse_modes_share_metrics(self):
-        scenarios = small_scenarios()[:2]
-        dense = DispatchSuiteRunner(scenarios, max_workers=1, sparse="never").run()
-        sparse = DispatchSuiteRunner(scenarios, max_workers=1, sparse="always").run()
-        for a, b in zip(dense.outcomes, sparse.outcomes):
-            assert a.metrics == b.metrics
+            DispatchSuiteRunner(small_scenarios(), engine="gpu")
 
 
 class TestProcessExecutor:

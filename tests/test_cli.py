@@ -147,15 +147,19 @@ class TestDispatchCommand:
         assert args.policies == "polar,ls"
         assert args.engine == "vector"
         assert args.matching == "optimal"
-        assert args.sparse == "auto"
         assert args.executor == "thread"
+        assert not hasattr(args, "sparse")
 
-    def test_dispatch_sparse_and_executor_parse(self):
-        args = build_parser().parse_args(
-            ["dispatch", "--sparse", "always", "--executor", "process"]
-        )
-        assert args.sparse == "always"
+    def test_dispatch_executor_parse(self):
+        args = build_parser().parse_args(["dispatch", "--executor", "process"])
         assert args.executor == "process"
+
+    @pytest.mark.parametrize("command", ["dispatch", "serve", "loadgen"])
+    def test_matching_mode_is_not_a_flag(self, command, capsys):
+        # The engine picks dense or sparse matching per batch on its own.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--sparse", "always"])
+        assert "--sparse" in capsys.readouterr().err
 
     def test_dispatch_process_executor_runs(self, capsys):
         argv = [
