@@ -49,6 +49,12 @@ same bits as the full ``(m - 1) K + 1``-wide table.  In ``"auto"`` mode the
 exact cells have ``alpha + rest < 25`` and the cut lands near column 400 of
 up to a few thousand.
 
+Each exact cell's row is computed on its own and ``k`` and the cut width come
+from the batch maxima, so the engine evaluates every distinct
+``(alpha_ij, rest)`` pair once and scatters the results back: bit-identical,
+and far fewer rows, since alphas are day-count means on a ``1 / |days|``
+lattice.
+
 :func:`mgrid_expression_error` sums the per-HGrid errors of one MGrid and
 :func:`total_expression_error` those of a whole city at a given
 :class:`~repro.core.grid.GridLayout`; both are thin reductions over
@@ -83,11 +89,16 @@ DEFAULT_K = 120
 _GAUSSIAN_MEAN_THRESHOLD = 25.0
 
 
-def _validate_inputs(alpha_ij: float, alpha_rest: float, m: int, k: int) -> None:
-    ensure_non_negative(alpha_ij, "alpha_ij")
-    ensure_non_negative(alpha_rest, "alpha_rest")
+def _validate_inputs(alpha_ij: float, alpha_rest: float, m: int, k: int | None) -> int:
+    """Validate scalar-calculator inputs; return ``k`` (``None``: :func:`default_k_for`)."""
+    for value, name in ((alpha_ij, "alpha_ij"), (alpha_rest, "alpha_rest")):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        ensure_non_negative(value, name)
     ensure_positive(m, "m")
-    ensure_positive(k, "K")
+    if k is None:
+        k = default_k_for(alpha_ij, alpha_rest, m)
+    return ensure_positive(k, "K")
 
 
 def expression_error_reference(
@@ -100,9 +111,7 @@ def expression_error_reference(
     ``k=None`` picks a truncation covering both Poisson tails
     (:func:`default_k_for`), so large means stay accurate.
     """
-    if k is None:
-        k = default_k_for(alpha_ij, alpha_rest, m)
-    _validate_inputs(alpha_ij, alpha_rest, m, k)
+    k = _validate_inputs(alpha_ij, alpha_rest, m, k)
     if m == 1:
         return 0.0
     kh = np.arange(0, k + 1)
@@ -122,9 +131,7 @@ def expression_error_algorithm1(
     runtime comparison and as an independent implementation for cross-checks.
     ``k=None`` picks a tail-covering truncation (:func:`default_k_for`).
     """
-    if k is None:
-        k = default_k_for(alpha_ij, alpha_rest, m)
-    _validate_inputs(alpha_ij, alpha_rest, m, k)
+    k = _validate_inputs(alpha_ij, alpha_rest, m, k)
     if m == 1:
         return 0.0
     total = 0.0
@@ -155,9 +162,7 @@ def expression_error_algorithm2(
     truncated Poisson pmf of ``lambda_ij`` and divided by ``m``.  ``k=None``
     picks a tail-covering truncation (:func:`default_k_for`).
     """
-    if k is None:
-        k = default_k_for(alpha_ij, alpha_rest, m)
-    _validate_inputs(alpha_ij, alpha_rest, m, k)
+    k = _validate_inputs(alpha_ij, alpha_rest, m, k)
     if m == 1:
         return 0.0
     km = np.arange(0, (m - 1) * k + 1)
@@ -349,6 +354,12 @@ def _batch_algorithm2_chunked(
     return np.concatenate(pieces)
 
 
+def _ensure_finite_non_negative(values: np.ndarray) -> None:
+    # ``x >= 0`` is False for NaN and ``x < inf`` is False for inf.
+    if not np.all((values >= 0) & (values < np.inf)):
+        raise ValueError("all alphas must be finite and non-negative")
+
+
 def expression_error_batch(
     alphas: np.ndarray,
     m: int | None = None,
@@ -377,6 +388,7 @@ def expression_error_batch(
     if method not in get_args(ExpressionMethod):
         raise ValueError(f"unknown expression-error method {method!r}")
     alphas = np.asarray(alphas, dtype=float)
+    _ensure_finite_non_negative(alphas)
     if rest is None:
         if alphas.ndim < 1 or alphas.shape[-1] == 0:
             raise ValueError("block-mode alphas must have a non-empty last axis")
@@ -391,10 +403,9 @@ def expression_error_batch(
         if m is None:
             raise ValueError("m is required in elementwise mode (rest given)")
         alphas, rest = np.broadcast_arrays(alphas, np.asarray(rest, dtype=float))
+    _ensure_finite_non_negative(rest)
     m = int(m)
     ensure_positive(m, "m")
-    if np.any(alphas < 0) or np.any(rest < 0):
-        raise ValueError("all alphas must be non-negative")
     shape = alphas.shape
     if m == 1:
         return np.zeros(shape)
@@ -423,7 +434,17 @@ def expression_error_batch(
             float(exact_alpha.max()), float(exact_rest.max()), m
         )
         ensure_positive(shared_k, "K")
-        out[exact_mask] = _batch_algorithm2_chunked(exact_alpha, exact_rest, m, shared_k)
+        # Each row's arithmetic is its own and k/width come from the batch
+        # maxima, so evaluating every distinct (alpha, rest) pair once and
+        # scattering back is bit-identical to evaluating every cell.
+        order = np.lexsort((exact_rest, exact_alpha))
+        sorted_alpha, sorted_rest = exact_alpha[order], exact_rest[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (sorted_alpha[1:] != sorted_alpha[:-1]) | (sorted_rest[1:] != sorted_rest[:-1])
+        distinct = _batch_algorithm2_chunked(sorted_alpha[first], sorted_rest[first], m, shared_k)
+        exact_out = np.empty(order.size)
+        exact_out[order] = distinct[np.cumsum(first) - 1]
+        out[exact_mask] = exact_out
     return out.reshape(shape)
 
 

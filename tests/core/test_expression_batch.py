@@ -124,6 +124,24 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             expression_error_batch(np.array([1.0]), 2, rest=np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["auto", "algorithm2"])
+    def test_rejects_non_finite_alphas(self, bad, method):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            expression_error_batch(np.array([[1.0, bad, 0.5]]), method=method)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            expression_error_batch(np.array([bad, 1.0]), 4, rest=np.ones(2), method=method)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            expression_error_batch(np.ones(2), 4, rest=np.array([1.0, bad]), method=method)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("k", [None, 25])
+    def test_scalar_calculators_reject_non_finite_alphas(self, bad, k):
+        with pytest.raises(ValueError, match="alpha_ij must be finite"):
+            expression_error_algorithm2(bad, 1.0, 4, k=k)
+        with pytest.raises(ValueError, match="alpha_rest must be finite"):
+            expression_error_algorithm2(1.0, bad, 4, k=k)
+
     def test_rejects_missing_m_in_elementwise_mode(self):
         with pytest.raises(ValueError):
             expression_error_batch(np.array([1.0]), rest=np.array([1.0]))
@@ -212,7 +230,8 @@ class TestUnderflowCut:
 
         monkeypatch.setattr(expression_module, "_batch_algorithm2", recording)
         monkeypatch.setattr(expression_module, "BATCH_TABLE_BUDGET", 10_000)
-        alpha = np.full(500, 0.5)
+        # Distinct pairs: identical ones would collapse to one evaluated row.
+        alpha = np.linspace(0.1, 0.9, 500)
         expression_error_batch(alpha, 16, rest=np.full(500, 20.0), k=DEFAULT_K, method="algorithm2")
         width = widths[0][1]
         assert width < 15 * DEFAULT_K + 1
@@ -277,3 +296,100 @@ class TestDAlphaBatch:
             d_alpha_batch(np.zeros((0, 4)))
         with pytest.raises(ValueError):
             d_alpha_batch(np.array([[1.0, -2.0]]))
+
+
+def _lattice_blocks(seed, m=4, num_days=5, num_blocks=160):
+    """Block-mode alphas as a sweep sees them: means of integer day counts.
+
+    Values sit on the ``1 / num_days`` lattice, so (alpha, rest) pairs repeat
+    heavily; the mix holds zero cells, zero-rest cells and block totals on
+    both sides of the Gaussian threshold.
+    """
+    local = np.random.default_rng(seed)
+    intensity = local.choice(
+        [0.0, 0.2, 1.0, 4.0, 8.0], p=[0.3, 0.3, 0.2, 0.1, 0.1], size=(num_blocks, 1, 1)
+    )
+    alpha = local.poisson(intensity, size=(num_blocks, m, num_days)).sum(axis=-1) / num_days
+    alpha[::9, 1:] = 0.0
+    return alpha
+
+
+def _every_cell_oracle(alpha, rest, m, k, method, exact_kernel):
+    """The engine's per-cell result with ``exact_kernel`` run on every exact cell."""
+    out = expression_module._batch_gaussian(alpha, rest, m)
+    exact = np.ones(alpha.size, dtype=bool)
+    if method == "auto":
+        exact = alpha + rest < expression_module._GAUSSIAN_MEAN_THRESHOLD
+    if k is None:
+        k = default_k_for(float(alpha[exact].max()), float(rest[exact].max()), m)
+    out[exact] = exact_kernel(alpha[exact], rest[exact], m, k)
+    return out
+
+
+def _block_cells(blocks):
+    alpha = blocks.ravel()
+    return alpha, (blocks.sum(axis=-1, keepdims=True) - blocks).ravel()
+
+
+class TestDistinctCells:
+    """Each distinct (alpha, rest) pair is evaluated once; no output bit moves."""
+
+    @pytest.mark.parametrize("method", ["auto", "algorithm2"])
+    @pytest.mark.parametrize("k", [None, 25])
+    def test_matches_every_cell_oracles(self, method, k, monkeypatch):
+        blocks = _lattice_blocks(seed=3)
+        alpha, rest = _block_cells(blocks)
+        total = alpha + rest
+        threshold = expression_module._GAUSSIAN_MEAN_THRESHOLD
+        assert np.any(total < threshold) and np.any(total >= threshold)
+        assert np.any(alpha == 0.0) and np.any((rest == 0.0) & (alpha > 0.0))
+        assert len(set(zip(alpha, rest))) < alpha.size // 2
+        # Small enough that chunk boundaries fall inside the distinct rows.
+        monkeypatch.setattr(expression_module, "BATCH_TABLE_BUDGET", 3_000)
+        engine = expression_error_batch(blocks, k=k, method=method).ravel()
+        for kernel in (expression_module._batch_algorithm2_chunked, _full_width_chunked):
+            assert np.array_equal(engine, _every_cell_oracle(alpha, rest, 4, k, method, kernel))
+
+    @pytest.mark.parametrize("method", ["auto", "algorithm2"])
+    def test_kernel_sees_each_pair_once(self, method, monkeypatch):
+        seen = []
+        original = expression_module._batch_algorithm2
+
+        def recording(alpha_ij, alpha_rest, m, k, width):
+            seen.extend(zip(alpha_ij.tolist(), alpha_rest.tolist()))
+            return original(alpha_ij, alpha_rest, m, k, width)
+
+        monkeypatch.setattr(expression_module, "_batch_algorithm2", recording)
+        monkeypatch.setattr(expression_module, "BATCH_TABLE_BUDGET", 3_000)
+        blocks = _lattice_blocks(seed=5)
+        expression_error_batch(blocks, method=method)
+        alpha, rest = _block_cells(blocks)
+        exact = np.ones(alpha.size, dtype=bool)
+        if method == "auto":
+            exact = alpha + rest < expression_module._GAUSSIAN_MEAN_THRESHOLD
+        assert len(seen) == len(set(seen)) == len(set(zip(alpha[exact], rest[exact])))
+
+    def test_keeps_shape_and_cell_order(self):
+        stack = np.stack([_lattice_blocks(seed) for seed in (7, 8, 9)])
+        out = expression_error_batch(stack, k=25, method="auto")
+        assert out.shape == stack.shape
+        for index in range(stack.shape[0]):
+            assert np.array_equal(out[index], expression_error_batch(stack[index], k=25))
+        alpha, rest = _block_cells(stack)
+        forward = expression_error_batch(alpha, 4, rest=rest, k=25)
+        backward = expression_error_batch(alpha[::-1], 4, rest=rest[::-1], k=25)
+        assert np.array_equal(forward, out.ravel())
+        assert np.array_equal(backward, forward[::-1])
+
+    @pytest.mark.parametrize("num_mgrids,m", [(4, 16), (16, 4), (16, 16), (64, 16)])
+    def test_city_alpha_totals_match_every_cell_oracle(self, tiny_dataset, num_mgrids, m):
+        layout = GridLayout(num_mgrids=num_mgrids, hgrids_per_mgrid=m)
+        alpha_fine = tiny_dataset.alpha(layout.fine_resolution, slot=16)
+        blocks = layout.mgrid_alpha_blocks(alpha_fine)
+        alpha, rest = _block_cells(blocks)
+        assert len(set(zip(alpha, rest))) < alpha.size
+        oracle = _every_cell_oracle(
+            alpha, rest, m, None, "auto", expression_module._batch_algorithm2_chunked
+        )
+        expected = float(oracle.reshape(blocks.shape).sum(axis=-1).sum())
+        assert total_expression_error(alpha_fine, layout) == expected
