@@ -6,16 +6,23 @@ a :class:`~repro.data.temporal.TemporalProfile`, a
 generates complete :class:`~repro.data.events.EventLog` histories that play the
 role of the NYC / Chengdu / Xi'an trip datasets in the original paper.
 
-Generation recipe (per day, per slot):
+Generation recipe.  Each day draws a log-normal day-level volume factor
+(weather, holidays, ...) and then, slot by slot, only random numbers, in this
+order:
 
-1. the expected slot volume is ``daily_volume * slot_weight / slots_per_day``
-   modulated by a log-normal day-level factor (weather, holidays, ...);
-2. the realised count is drawn from a Poisson with that mean — matching the
-   count model the paper assumes for HGrids;
-3. pick-up locations are drawn from the spatial surface (with a small slot-
-   dependent rotation of hot-spot weights so the spatial pattern drifts over
-   the day, as real demand does);
-4. drop-offs, trip lengths and fares come from the trip model.
+1. the realised count, from a Poisson whose mean is
+   ``daily_volume * slot_weight / slots_per_day`` times the day factor —
+   matching the count model the paper assumes for HGrids;
+2. one block of ``3 * count`` uniforms: the pick-up cell draws (searched in
+   the cumulative raster of the spatial surface) and the x and y jitter within
+   the cell;
+3. the trip lengths, from the trip model;
+4. the trip directions.
+
+All arithmetic then runs once per day on that day's concatenated draws:
+pick-up points, drop-offs, realised trip lengths and fares.  Every step of it
+is elementwise, so the columns and the generator's end state are exactly
+those of doing the same arithmetic slot by slot.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from repro.data.events import EventLog, TimeSlotConfig
 from repro.data.intensity import IntensitySurface
 from repro.data.temporal import TemporalProfile
-from repro.data.trips import TripLengthModel, sample_destinations, trip_lengths_km
+from repro.data.trips import TripLengthModel, displace, trip_lengths_km
 from repro.utils.rng import RandomState, default_rng
 
 
@@ -128,63 +135,53 @@ class CityModel:
         )
         return probabilities * volume
 
-    def generate_slot(
-        self, day: int, slot: int, day_factor: float = 1.0
-    ) -> EventLog:
-        """Generate the events of a single (day, slot) pair."""
-        mean_volume = self.config.profile.expected_slot_volume(
-            day, slot, self.config.daily_volume, self.config.slots
-        )
-        count = int(self._rng.poisson(mean_volume * day_factor))
-        xs, ys = self._sample_locations(count)
-        lengths = self.config.trip_model.sample_lengths(count, self._rng)
-        dest_x, dest_y = sample_destinations(
-            xs, ys, lengths, self.config.width_km, self.config.height_km, self._rng
-        )
-        realised_lengths = trip_lengths_km(
-            xs, ys, dest_x, dest_y, self.config.width_km, self.config.height_km
-        )
-        revenue = self.config.trip_model.fares(realised_lengths)
-        return EventLog(
-            x=xs,
-            y=ys,
-            day=np.full(count, day, dtype=int),
-            slot=np.full(count, slot, dtype=int),
-            dropoff_x=dest_x,
-            dropoff_y=dest_y,
-            revenue=revenue,
-            slots=self.config.slots,
-        )
-
     def generate_days(self, num_days: int, start_day: int = 0) -> EventLog:
         """Generate a contiguous multi-day event history.
 
-        ``start_day`` shifts the weekday phase (day 0 is a Monday).
+        ``start_day`` shifts the weekday phase (day 0 is a Monday); the
+        returned log's day indices start at 0 regardless of phase.
         """
         if num_days <= 0:
             raise ValueError(f"num_days must be positive, got {num_days}")
-        logs: list[EventLog] = []
-        for offset in range(num_days):
-            day = start_day + offset
-            day_factor = float(
-                self._rng.lognormal(mean=0.0, sigma=self.config.day_noise_sigma)
-            )
-            for slot in range(self.config.slots.slots_per_day):
-                log = self.generate_slot(day, slot, day_factor=day_factor)
-                # Re-index so the returned log starts at day 0 regardless of phase.
-                log.day[:] = offset
-                logs.append(log)
-        return EventLog.concatenate(logs)
+        return EventLog.concatenate(
+            [self._generate_day(start_day + offset, offset) for offset in range(num_days)]
+        )
 
-    def _sample_locations(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw pick-up points from the pre-rasterised surface."""
-        if count == 0:
-            return np.empty(0), np.empty(0)
-        resolution = self.config.raster_resolution
-        cells = self._cell_cdf.searchsorted(self._rng.random(count), side="right")
-        rows, cols = np.divmod(cells, resolution)
-        xs = (cols + self._rng.random(count)) / resolution
-        ys = (rows + self._rng.random(count)) / resolution
-        xs = np.clip(xs, 0.0, np.nextafter(1.0, 0.0))
-        ys = np.clip(ys, 0.0, np.nextafter(1.0, 0.0))
-        return xs, ys
+    def _generate_day(self, day: int, index: int) -> EventLog:
+        """The events of weekday-phase ``day``, stored under day index ``index``."""
+        config = self.config
+        rng = self._rng
+        slots_per_day = config.slots.slots_per_day
+        day_factor = float(rng.lognormal(mean=0.0, sigma=config.day_noise_sigma))
+        weights = config.profile.slot_weights(day, config.slots)
+        counts = np.empty(slots_per_day, dtype=int)
+        uniforms, lengths, angles = [], [], []
+        for slot in range(slots_per_day):
+            mean_volume = config.daily_volume * weights[slot] / slots_per_day
+            count = counts[slot] = int(rng.poisson(mean_volume * day_factor))
+            # One fill of cell, x-jitter and y-jitter draws, in that order.
+            uniforms.append(rng.random(3 * count).reshape(3, count))
+            lengths.append(config.trip_model.sample_lengths(count, rng))
+            angles.append(rng.uniform(0.0, 2.0 * np.pi, size=count))
+        cell_draws, jitter_x, jitter_y = np.concatenate(uniforms, axis=1)
+        lengths_km = np.concatenate(lengths)
+        resolution = config.raster_resolution
+        rows, cols = np.divmod(self._cell_cdf.searchsorted(cell_draws, side="right"), resolution)
+        xs = np.clip((cols + jitter_x) / resolution, 0.0, np.nextafter(1.0, 0.0))
+        ys = np.clip((rows + jitter_y) / resolution, 0.0, np.nextafter(1.0, 0.0))
+        dest_x, dest_y = displace(
+            xs, ys, lengths_km, np.concatenate(angles), config.width_km, config.height_km
+        )
+        realised_lengths = trip_lengths_km(
+            xs, ys, dest_x, dest_y, config.width_km, config.height_km
+        )
+        return EventLog(
+            x=xs,
+            y=ys,
+            day=np.full(len(xs), index, dtype=int),
+            slot=np.repeat(np.arange(slots_per_day), counts),
+            dropoff_x=dest_x,
+            dropoff_y=dest_y,
+            revenue=config.trip_model.fares(realised_lengths),
+            slots=config.slots,
+        )

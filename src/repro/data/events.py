@@ -100,8 +100,11 @@ class EventLog:
         self.dropoff_y = np.asarray(self.dropoff_y, dtype=float)
         self.revenue = np.asarray(self.revenue, dtype=float)
         if len(self.x) > 0:
-            if np.any((self.x < 0) | (self.x >= 1) | (self.y < 0) | (self.y >= 1)):
+            # Written so that NaN fails too: every comparison with NaN is False.
+            if not np.all((self.x >= 0) & (self.x < 1) & (self.y >= 0) & (self.y < 1)):
                 raise ValueError("pick-up coordinates must lie in [0, 1)")
+            if np.any(self.day < 0):
+                raise ValueError("day indices must be non-negative")
             if np.any(self.slot < 0) or np.any(self.slot >= self.slots.slots_per_day):
                 raise ValueError("slot index out of range for the slot configuration")
 
@@ -119,12 +122,10 @@ class EventLog:
         """Return a new log restricted to the given day indices (re-indexed from 0)."""
         days = np.asarray(sorted(set(int(d) for d in days)), dtype=int)
         mask = np.isin(self.day, days)
-        remap = {int(d): i for i, d in enumerate(days)}
-        new_day = np.array([remap[int(d)] for d in self.day[mask]], dtype=int)
         return EventLog(
             x=self.x[mask],
             y=self.y[mask],
-            day=new_day,
+            day=np.searchsorted(days, self.day[mask]),
             slot=self.slot[mask],
             dropoff_x=self.dropoff_x[mask],
             dropoff_y=self.dropoff_y[mask],

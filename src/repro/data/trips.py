@@ -85,6 +85,23 @@ def sample_destinations(
     if not (len(origin_x) == len(origin_y) == len(lengths_km)):
         raise ValueError("origin and length arrays must have equal length")
     angles = rng.uniform(0.0, 2.0 * np.pi, size=len(origin_x))
+    return displace(origin_x, origin_y, lengths_km, angles, width_km, height_km)
+
+
+def displace(
+    origin_x: np.ndarray,
+    origin_y: np.ndarray,
+    lengths_km: np.ndarray,
+    angles: np.ndarray,
+    width_km: float,
+    height_km: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop-off points ``lengths_km`` away from each origin at the given ``angles``.
+
+    The deterministic half of :func:`sample_destinations`: it takes the drawn
+    directions (radians) instead of drawing them, and clips to the city the
+    same way.  Every step is elementwise.
+    """
     dx = lengths_km * np.cos(angles) / width_km
     dy = lengths_km * np.sin(angles) / height_km
     dest_x = np.clip(origin_x + dx, 0.0, np.nextafter(1.0, 0.0))

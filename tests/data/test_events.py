@@ -89,6 +89,37 @@ class TestEventLogValidation:
                 revenue=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_nan_coordinate_rejected(self, column):
+        # Every comparison with NaN is False, so a range check written as
+        # "reject if x < 0 or x >= 1" would let it through to counts().
+        columns = dict(
+            x=np.array([0.2, 0.3]),
+            y=np.array([0.1, 0.4]),
+            day=np.array([0, 0]),
+            slot=np.array([0, 1]),
+            dropoff_x=np.array([0.1, 0.1]),
+            dropoff_y=np.array([0.1, 0.1]),
+            revenue=np.array([1.0, 1.0]),
+        )
+        columns[column][1] = np.nan
+        with pytest.raises(ValueError, match="pick-up coordinates"):
+            EventLog(**columns)
+
+    def test_negative_day_rejected(self):
+        # counts() would otherwise size its tensor from max(day) + 1 and
+        # silently drop every event.
+        with pytest.raises(ValueError, match="day indices"):
+            EventLog(
+                x=np.array([0.2]),
+                y=np.array([0.1]),
+                day=np.array([-1]),
+                slot=np.array([0]),
+                dropoff_x=np.array([0.1]),
+                dropoff_y=np.array([0.1]),
+                revenue=np.array([1.0]),
+            )
+
     def test_empty_log_is_valid(self):
         log = EventLog(
             x=np.array([]),
@@ -151,6 +182,19 @@ class TestEventLogSelection:
         log = make_log(200, days=4)
         total = sum(len(log.select_days([d])) for d in range(4))
         assert total == len(log)
+
+    @pytest.mark.parametrize("days", [[3, 1], [2, 0, 2, 3, 0], [1, 1], [5, 3]])
+    def test_select_days_matches_a_lookup_remap(self, days):
+        # Unsorted and duplicated day lists; day 5 is absent from the log.
+        log = make_log(300, days=4, seed=3)
+        selected = log.select_days(days)
+        kept = sorted(set(days))
+        remap = {d: i for i, d in enumerate(kept)}
+        mask = np.isin(log.day, kept)
+        expected = np.array([remap[int(d)] for d in log.day[mask]], dtype=int)
+        assert selected.day.dtype == expected.dtype
+        assert np.array_equal(selected.day, expected)
+        assert np.array_equal(selected.x, log.x[mask])
 
     def test_select_slot(self):
         log = make_log(300, days=2)
