@@ -334,21 +334,22 @@ def _run_drop_sample(
         _config(scenario, log_path, plan, max_batch), bundle=bundle
     ).start()
     server = serve_http(service, port=0)
+    client = HttpClient(
+        f"http://127.0.0.1:{server.server_address[1]}",
+        retry=RetryPolicy(
+            max_retries=drops + 2,
+            base_delay=0.001,
+            max_delay=0.01,
+            seed=retry_seed,
+        ),
+    )
     try:
-        client = HttpClient(
-            f"http://127.0.0.1:{server.server_address[1]}",
-            retry=RetryPolicy(
-                max_retries=drops + 2,
-                base_delay=0.001,
-                max_delay=0.01,
-                seed=retry_seed,
-            ),
-        )
         for payload in payloads:
             client.submit(payload)
         service.faults.release()
         report_payload = client.drain()
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
     replay = replay_ingest_log(log_path, bundle=bundle)

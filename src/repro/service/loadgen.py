@@ -27,9 +27,9 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import select
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
 
@@ -190,8 +190,12 @@ class RetryPolicy:
 
 
 class HttpClient:
-    """Drive a service over its HTTP API with stdlib ``urllib`` only.
+    """Drive a service over its HTTP API on one persistent connection.
 
+    Requests reuse a single stdlib ``http.client`` connection.  One the
+    server has closed meanwhile (idle timeout, a ``Connection: close``
+    reply) is dropped before the next request and a fresh one opened; one
+    that fails mid-request is closed, so the next attempt reconnects.
     With a :class:`RetryPolicy`, transient failures — connection refused or
     dropped, timeouts, 5xx, 429 backpressure — are retried with seeded
     exponential backoff; ``retries`` counts every retry sleep taken.  The
@@ -210,11 +214,19 @@ class HttpClient:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"service URL must be http://host[:port], got {base_url!r}")
+        self._connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+        self._prefix = parts.path
         self.retry = retry
         self.retries = 0
         self._sleep = sleep
         self._jitter = random.Random(retry.seed if retry is not None else 0)
+
+    def close(self) -> None:
+        """Close the connection; the next request opens a new one."""
+        self._connection.close()
 
     def _request(
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
@@ -234,51 +246,58 @@ class HttpClient:
                 if delay > 0:
                     self._sleep(delay)
 
+    def _connect(self, path: str) -> None:
+        """Make the connection usable: reopen it if it is closed or the peer hung up."""
+        sock = self._connection.sock
+        # An idle kept-alive socket is readable only once the server closed it.
+        if sock is not None and select.select([sock], [], [], 0)[0]:
+            self.close()
+        if self._connection.sock is None:
+            try:
+                self._connection.connect()
+            except OSError as exc:
+                # Connection refused, DNS failure, connect timeout: the
+                # service is unreachable — a typed error, not a traceback.
+                self.close()
+                raise ServiceUnavailableError(
+                    f"cannot reach {self.base_url}{path}: {exc}"
+                ) from None
+
     def _request_once(
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
-        body = canonical_json(payload).encode("utf-8") if payload is not None else b""
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=body if method == "POST" else None,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
+        body = canonical_json(payload).encode("utf-8") if payload is not None else None
+        self._connect(path)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", errors="replace")
-            try:
-                parsed: Dict[str, Any] = json.loads(detail)
-                message = parsed.get("error", detail)
-            except json.JSONDecodeError:
-                parsed = {}
-                message = detail
-            if exc.code == 400:
-                raise AdmissionError(message) from None
-            if exc.code == 429:
-                retry_after = float(
-                    parsed.get("retry_after", exc.headers.get("Retry-After", 0) or 0)
-                )
-                raise BackpressureError(message, retry_after=retry_after) from None
-            if exc.code >= 500:
-                raise ServiceUnavailableError(
-                    f"HTTP {exc.code} from {path}: {message}"
-                ) from None
-            raise RuntimeError(f"HTTP {exc.code} from {path}: {message}") from None
-        except urllib.error.URLError as exc:
-            # Connection refused, DNS failure, socket timeout: the service
-            # is unreachable — a clean typed error, not a raw traceback.
-            raise ServiceUnavailableError(
-                f"cannot reach {self.base_url}{path}: {exc.reason}"
-            ) from None
-        except (ConnectionError, http.client.HTTPException) as exc:
-            # The server vanished mid-request (dropped connection).
+            self._connection.request(
+                method, self._prefix + path, body, {"Content-Type": "application/json"}
+            )
+            response = self._connection.getresponse()
+            detail = response.read().decode("utf-8", errors="replace")
+        except (OSError, http.client.HTTPException) as exc:
+            # The server vanished mid-request (dropped connection, timeout).
+            self.close()
             raise ServiceUnavailableError(
                 f"connection to {self.base_url}{path} dropped: "
                 f"{type(exc).__name__}: {exc}"
             ) from None
+        code = response.status
+        if 200 <= code < 300:
+            return json.loads(detail)
+        try:
+            parsed: Dict[str, Any] = json.loads(detail)
+            message = parsed.get("error", detail)
+        except json.JSONDecodeError:
+            parsed = {}
+            message = detail
+        if code == 400:
+            raise AdmissionError(message)
+        if code == 429:
+            retry_after = float(parsed.get("retry_after", response.getheader("Retry-After") or 0))
+            raise BackpressureError(message, retry_after=retry_after)
+        if code >= 500:
+            raise ServiceUnavailableError(f"HTTP {code} from {path}: {message}")
+        raise RuntimeError(f"HTTP {code} from {path}: {message}")
 
     def submit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         return self._request("POST", "/orders", payload)

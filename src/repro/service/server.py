@@ -4,7 +4,7 @@
 
 * clients submit orders through :meth:`DispatchService.submit` (in-process)
   or over HTTP (:func:`serve_http`, stdlib ``ThreadingHTTPServer`` — no
-  extra dependencies);
+  extra dependencies) on persistent HTTP/1.1 connections;
 * the :class:`~repro.service.scheduler.AdmissionScheduler` validates and
   stages them, shedding (:class:`~repro.service.scheduler.BackpressureError`,
   HTTP 429 + ``Retry-After``) once the bounded pending pool is full;
@@ -106,7 +106,9 @@ from repro.utils.rng import default_rng
 
 __all__ = [
     "DispatchService",
+    "IDLE_TIMEOUT_SECONDS",
     "INJECT_SLEEP_ENV",
+    "MAX_BODY_BYTES",
     "STATES",
     "ServiceConfig",
     "ServiceFailedError",
@@ -114,6 +116,13 @@ __all__ = [
     "ServiceReport",
     "serve_http",
 ]
+
+#: Largest request body the HTTP front end reads (an order is ~250 bytes);
+#: a longer declared ``Content-Length`` is answered 413.
+MAX_BODY_BYTES = 64 * 1024
+#: Seconds a kept-alive HTTP connection may sit idle before the server closes
+#: it and its handler thread exits.
+IDLE_TIMEOUT_SECONDS = 60.0
 
 #: Health states, in lifecycle order.
 STATE_STARTING = "starting"
@@ -677,9 +686,22 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
-    """Routes: POST /orders, POST /drain, GET /healthz, GET /stats."""
+    """Routes: POST /orders, POST /drain, GET /healthz, GET /stats.
+
+    Connections persist (HTTP/1.1) unless the client sends
+    ``Connection: close``, so every POST body is read exactly once, whatever
+    the path, and a request whose framing cannot be trusted — no
+    ``Content-Length`` (411), a non-integer or negative one (400), one above
+    :data:`MAX_BODY_BYTES` (413) — is answered and its connection closed.
+    Each response leaves in one send: ``wfile`` is buffered and
+    ``handle_one_request`` flushes it once per request.
+    """
 
     server: ServiceHTTPServer
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_SECONDS
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # keep CI logs quiet; the CLI prints its own summary
@@ -709,7 +731,25 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         else:
             self._reply(404, {"error": f"unknown path {self.path}"})
 
+    def _read_body(self) -> Optional[bytes]:
+        """The request's declared body; ``None`` once a framing error is answered."""
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            code, error = 411, "Content-Length required"
+        elif not (declared.isascii() and declared.isdigit()):
+            code, error = 400, f"invalid Content-Length {declared!r}"
+        elif int(declared) > MAX_BODY_BYTES:
+            code, error = 413, f"body of {declared} bytes exceeds {MAX_BODY_BYTES}"
+        else:
+            return self.rfile.read(int(declared))
+        # The rest of the stream cannot be framed: answer and hang up.
+        self._reply(code, {"error": error}, headers={"Connection": "close"})
+        return None
+
     def do_POST(self) -> None:  # noqa: N802
+        body = self._read_body()
+        if body is None:
+            return
         service = self.server.service
         if self.path == "/orders":
             if service.faults.on_http_request(self.path):
@@ -717,10 +757,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 # client sees a closed socket and must retry.
                 self.close_connection = True
                 return
-            length = int(self.headers.get("Content-Length", 0))
             try:
-                payload = json.loads(self.rfile.read(length) or b"")
-            except json.JSONDecodeError as exc:
+                payload = json.loads(body)
+            except ValueError as exc:  # malformed JSON or invalid UTF-8
                 self._reply(400, {"error": f"invalid JSON body: {exc}"})
                 return
             try:
