@@ -4,9 +4,9 @@ Trains the pinned reference network (a DeepST-style conv stack at MGrid
 resolution 32 — the upper end of the paper's candidate grids) in three modes:
 
 * ``seed`` — the seed's exact conv pipeline: per-offset loop unfolds, einsum
-  weight reduction, scatter-add ``col2im`` backward (``layers.seed_mode``).
+  weight reduction, scatter-add ``col2im`` backward (``seed_conv.seed_mode``).
 * ``loop-unfold`` — the production GEMM/gather backward fed by the loop
-  unfold (``layers.loop_unfold``).
+  unfold (``seed_conv.loop_unfold``).
 * ``production`` — the strided ``sliding_window_view`` unfold with reusable
   buffers plus the GEMM/gather backward (the default engine).
 
@@ -26,9 +26,10 @@ The benchmark asserts three properties the CI gate then enforces:
    floating-point sums differently, so its *training history* is compared
    within ``history_rtol`` rather than bitwise.
 
-It additionally reports the optional ``float32`` training mode (informational
-speedup) and checks that the prediction suite cache replays byte-identically
-across reruns and across the thread/process executors.
+The seed modes come from ``benchmarks/seed_conv.py``, which rebinds the
+pipeline on the benchmarked network's ``Conv2D`` instances only.  The
+benchmark also checks that the prediction suite cache replays
+byte-identically across reruns and across the thread/process executors.
 
 Run modes
 ---------
@@ -47,6 +48,7 @@ import platform
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -56,7 +58,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.prediction import layers  # noqa: E402
+import seed_conv  # noqa: E402
 from repro.prediction.deepst import DeepSTPredictor  # noqa: E402
 from repro.prediction.network import Trainer  # noqa: E402
 from repro.sweep.prediction import (  # noqa: E402
@@ -108,7 +110,15 @@ def _build_network(config: Dict):
     return predictor.build_network(config["resolution"])
 
 
-def _train(config: Dict, data: Dict, mode: str, dtype: Optional[str] = None):
+#: Conv pipeline of each timed mode, applied to the trained network only.
+MODES = {
+    "seed": seed_conv.seed_mode,
+    "loop": seed_conv.loop_unfold,
+    "new": lambda network: nullcontext(),
+}
+
+
+def _train(config: Dict, data: Dict, mode: str):
     """One full training run in the requested mode; returns (seconds, history, out)."""
     network = _build_network(config)
     trainer = Trainer(
@@ -117,27 +127,21 @@ def _train(config: Dict, data: Dict, mode: str, dtype: Optional[str] = None):
         batch_size=config["batch_size"],
         seed=config["trainer_seed"],
         patience=None,
-        dtype=dtype,
     )
-    previous_unfold = layers.set_loop_unfold(mode in ("loop", "seed"))
-    previous_backward = layers.set_legacy_backward(mode == "seed")
-    try:
+    with MODES[mode](network):
         start = time.perf_counter()
         history = trainer.fit(
             data["inputs"], data["targets"], data["val_inputs"], data["val_targets"]
         )
         seconds = time.perf_counter() - start
         final = network.forward(data["val_inputs"], training=False)
-    finally:
-        layers.set_loop_unfold(previous_unfold)
-        layers.set_legacy_backward(previous_backward)
     return seconds, history, final
 
 
 def _forward_identical_to_seed(config: Dict, data: Dict) -> bool:
     """Untrained forward pass: production vs seed mode on identical weights."""
     network = _build_network(config)
-    with layers.seed_mode():
+    with seed_conv.seed_mode(network):
         seed_out = network.forward(data["val_inputs"], training=False)
     production_out = network.forward(data["val_inputs"], training=False)
     return bool((seed_out == production_out).all())
@@ -195,16 +199,15 @@ def run_benchmark(repeats: int = REPEATS, config: Optional[Dict] = None) -> Dict
     # Interleave the timed modes across repeats so a transient slowdown of
     # the host (the gate runs on shared CI hardware) cannot hit one mode's
     # entire sample; the minimum per mode is reported.
-    runs: Dict[str, List] = {"seed": [], "loop": [], "new": []}
+    runs: Dict[str, List] = {mode: [] for mode in MODES}
     for _ in range(repeats):
-        for mode in ("seed", "loop", "new"):
+        for mode in MODES:
             runs[mode].append(_train(config, data, mode))
     seed_seconds, seed_history, _ = min(runs["seed"], key=lambda r: r[0])
     loop_seconds, loop_history, loop_final = min(runs["loop"], key=lambda r: r[0])
     production_seconds, production_history, production_final = min(
         runs["new"], key=lambda r: r[0]
     )
-    float32_seconds, float32_history, _ = _train(config, data, "new", dtype="float32")
 
     unfold_identical = (
         production_history.train_loss == loop_history.train_loss
@@ -233,12 +236,6 @@ def run_benchmark(repeats: int = REPEATS, config: Optional[Dict] = None) -> Dict
             "final_val_mae": production_history.val_mae[-1],
             "best_epoch": production_history.best_epoch,
         },
-        "float32": {
-            "seconds": float32_seconds,
-            "speedup_vs_float64": production_seconds / float32_seconds,
-            "loss_decreased": float32_history.train_loss[-1]
-            < float32_history.train_loss[0],
-        },
         "suite_cache": _suite_cache_section(),
     }
 
@@ -266,12 +263,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"unfold swap identical: {training['unfold_swap_identical']}, "
         f"forward == seed: {training['forward_identical_to_seed']}, "
         f"seed history drift: {training['seed_history_drift']:.2e}"
-    )
-    float32 = payload["float32"]
-    print(
-        f"float32: {float32['seconds']:.2f}s "
-        f"({float32['speedup_vs_float64']:.2f}x vs float64), "
-        f"loss decreased: {float32['loss_decreased']}"
     )
     suite = payload["suite_cache"]
     print(

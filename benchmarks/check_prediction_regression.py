@@ -95,10 +95,6 @@ def check(current: Dict, baseline: Dict) -> List[str]:
         )
     )
 
-    float32 = current.get("float32", {})
-    if not float32.get("loss_decreased", False):
-        problems.append("float32 training no longer reduces the loss")
-
     suite = current.get("suite_cache", {})
     if not suite.get("rerun_bytes_identical", False):
         problems.append("prediction suite cache reruns are not byte-identical")

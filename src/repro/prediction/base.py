@@ -36,10 +36,6 @@ class NeuralDemandPredictor(ABC):
         Training samples are subsampled to this cap; ``None`` uses
         everything.  The default is generous now that the conv hot path is
         vectorised — the seed capped at 512 to stay usable on a laptop.
-    train_dtype:
-        Forwarded to :class:`~repro.prediction.network.Trainer`'s ``dtype``;
-        ``None`` (default) trains in float64, ``"float32"`` halves the
-        memory traffic of the conv hot path.
 
     Determinism
     -----------
@@ -66,7 +62,6 @@ class NeuralDemandPredictor(ABC):
         patience: Optional[int] = 4,
         max_train_samples: Optional[int] = 4096,
         seed: RandomState = None,
-        train_dtype: Optional[str] = None,
     ) -> None:
         if closeness <= 0:
             raise ValueError("closeness must be >= 1")
@@ -80,7 +75,6 @@ class NeuralDemandPredictor(ABC):
         self.learning_rate = learning_rate
         self.patience = patience
         self.max_train_samples = max_train_samples
-        self.train_dtype = train_dtype
         self._seed = seed
         self._subsample_rng, self._rng, self._trainer_rng = spawn_rng(
             default_rng(seed), 3
@@ -140,7 +134,6 @@ class NeuralDemandPredictor(ABC):
             batch_size=self.batch_size,
             patience=self.patience,
             seed=self._trainer_rng,
-            dtype=self.train_dtype,
         )
         val_views, val_targets = self._validation_samples(dataset, resolution)
         inputs = self.arrange_inputs(scaled_views)

@@ -77,7 +77,6 @@ class DeepSTPredictor(NeuralDemandPredictor):
         learning_rate: float = 2e-3,
         max_train_samples: int | None = 2048,
         seed: RandomState = None,
-        train_dtype: str | None = None,
     ) -> None:
         if filters <= 0:
             raise ValueError("filters must be positive")
@@ -92,7 +91,6 @@ class DeepSTPredictor(NeuralDemandPredictor):
             learning_rate=learning_rate,
             max_train_samples=max_train_samples,
             seed=seed,
-            train_dtype=train_dtype,
         )
         self.filters = filters
         self.residual_blocks = residual_blocks

@@ -126,7 +126,6 @@ class DMVSTNetPredictor(NeuralDemandPredictor):
         learning_rate: float = 2e-3,
         max_train_samples: int | None = 2048,
         seed: RandomState = None,
-        train_dtype: str | None = None,
     ) -> None:
         if filters <= 0:
             raise ValueError("filters must be positive")
@@ -139,7 +138,6 @@ class DMVSTNetPredictor(NeuralDemandPredictor):
             learning_rate=learning_rate,
             max_train_samples=max_train_samples,
             seed=seed,
-            train_dtype=train_dtype,
         )
         self.filters = filters
 

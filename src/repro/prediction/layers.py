@@ -18,23 +18,16 @@ an unfold of ``grad_output`` against the spatially flipped kernel — instead
 of the scatter-add ``col2im``, so the backward pass reuses the same fast
 unfold primitive as the forward pass.
 
-The strided unfold produces a column matrix bit-identical to the loop-based
-one (tested in ``test_layers.py``), so ``columns @ weight`` and therefore
-every forward output is bit-identical to the seed.  The loop-based reference
-implementations are kept (:func:`_im2col_loops`, :func:`_col2im_loops`) and
-can be switched back in through :func:`set_loop_unfold` — used by
-``benchmarks/bench_prediction.py`` to time the old unfold against the new one
-under otherwise identical arithmetic (bit-identical training histories).
-
-All layers preserve ``float32`` inputs instead of up-casting to ``float64``,
-which is what makes the optional ``float32`` training mode of
-:class:`~repro.prediction.network.Trainer` possible; ``float64`` inputs take
-exactly the code paths (and produce exactly the bits) they always did.
+The strided unfold produces a column matrix bit-identical to the seed's
+loop-based one, so ``columns @ weight`` and therefore every forward output is
+bit-identical to the seed.  The seed pipeline itself lives outside the
+package, in ``benchmarks/seed_conv.py``: the layer tests compare against it
+and ``benchmarks/bench_prediction.py`` times the production engine against
+it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -42,82 +35,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.utils.rng import RandomState, default_rng
 
-#: When True, ``Conv2D`` unfolds through the seed's per-offset loops instead
-#: of the strided path (no buffer reuse).  Benchmark/testing switch only —
-#: see :func:`set_loop_unfold` / :func:`loop_unfold`.
-_LOOP_UNFOLD = False
-
-#: When True, ``Conv2D.backward`` runs the seed's exact arithmetic (einsum
-#: weight reduction + scatter-add col2im) instead of the GEMM/gather path.
-#: Benchmark/testing switch only — see :func:`seed_mode`.
-_LEGACY_BACKWARD = False
-
-
-def set_loop_unfold(enabled: bool) -> bool:
-    """Switch ``Conv2D`` to the loop-based reference unfold; returns the old flag.
-
-    Only intended for benchmarks and equivalence tests: the two unfold
-    implementations produce bit-identical, layout-identical column views, so
-    forward outputs and training histories are unaffected by the switch.
-    """
-    global _LOOP_UNFOLD
-    previous = _LOOP_UNFOLD
-    _LOOP_UNFOLD = bool(enabled)
-    return previous
-
-
-def set_legacy_backward(enabled: bool) -> bool:
-    """Switch ``Conv2D.backward`` to the seed's arithmetic; returns the old flag.
-
-    The legacy backward is mathematically identical to the production
-    GEMM/gather backward (same sums, different floating-point association;
-    they agree to ~1 ulp and both pass the finite-difference checks) but
-    noticeably slower.  Only intended for benchmarks and equivalence tests.
-    """
-    global _LEGACY_BACKWARD
-    previous = _LEGACY_BACKWARD
-    _LEGACY_BACKWARD = bool(enabled)
-    return previous
-
-
-@contextmanager
-def loop_unfold():
-    """Context manager running ``Conv2D`` on the loop-based reference unfold."""
-    previous = set_loop_unfold(True)
-    try:
-        yield
-    finally:
-        set_loop_unfold(previous)
-
-
-@contextmanager
-def seed_mode():
-    """Context manager restoring the seed's full conv pipeline.
-
-    Loop-based unfolds *and* the legacy einsum/col2im backward — the faithful
-    baseline ``benchmarks/bench_prediction.py`` times the production engine
-    against.
-    """
-    previous_unfold = set_loop_unfold(True)
-    previous_backward = set_legacy_backward(True)
-    try:
-        yield
-    finally:
-        set_loop_unfold(previous_unfold)
-        set_legacy_backward(previous_backward)
-
 
 def _ensure_float(inputs: np.ndarray) -> np.ndarray:
-    """View ``inputs`` as a floating array, preserving float32/float64.
-
-    Non-floating inputs are promoted to ``float64`` exactly as the seed's
-    ``np.asarray(inputs, dtype=float)`` did; floating inputs pass through
-    untouched so ``float32`` training never silently up-casts.
-    """
-    inputs = np.asarray(inputs)
-    if not np.issubdtype(inputs.dtype, np.floating):
-        return inputs.astype(float)
-    return inputs
+    """View ``inputs`` as a ``float64`` array (no copy when it already is one)."""
+    return np.asarray(inputs, dtype=float)
 
 
 class Layer:
@@ -246,28 +167,6 @@ class Reshape(Layer):
         return grad_output.reshape(self._input_shape)
 
 
-def _im2col_loops(inputs: np.ndarray, kernel: int, pad: int) -> np.ndarray:
-    """Loop-based reference unfold (the seed implementation).
-
-    Kept for the old-vs-new equality tests and as the baseline timed by
-    ``benchmarks/bench_prediction.py``; :func:`_im2col` produces a
-    bit-identical column matrix through ``sliding_window_view``.
-    """
-    batch, channels, height, width = inputs.shape
-    padded = np.pad(
-        inputs, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant"
-    )
-    columns = np.empty(
-        (batch, channels, kernel, kernel, height, width), dtype=inputs.dtype
-    )
-    for dy in range(kernel):
-        for dx in range(kernel):
-            columns[:, :, dy, dx] = padded[:, :, dy : dy + height, dx : dx + width]
-    return columns.transpose(0, 4, 5, 1, 2, 3).reshape(
-        batch, height * width, channels * kernel * kernel
-    )
-
-
 def _im2col(
     inputs: np.ndarray,
     kernel: int,
@@ -285,7 +184,7 @@ def _im2col(
     reshape yielded.  Matching the layout, not just the values, matters:
     BLAS kernels select different accumulation paths for different operand
     strides, so only a layout-identical column view keeps the downstream
-    ``columns @ weight`` bit-identical to :func:`_im2col_loops`.
+    ``columns @ weight`` bit-identical to the seed's loop unfold.
 
     ``out`` (the 6-D buffer) and ``pad_buffer`` let callers reuse
     allocations across training steps; allocation and page-fault churn is
@@ -322,59 +221,6 @@ def _im2col(
     )
 
 
-def _col2im_loops(
-    columns: np.ndarray, input_shape: tuple, kernel: int, pad: int
-) -> np.ndarray:
-    """Loop-based reference scatter (the seed's ``_col2im``)."""
-    batch, channels, height, width = input_shape
-    columns = columns.reshape(batch, height, width, channels, kernel, kernel).transpose(
-        0, 3, 4, 5, 1, 2
-    )
-    padded = np.zeros(
-        (batch, channels, height + 2 * pad, width + 2 * pad), dtype=columns.dtype
-    )
-    for dy in range(kernel):
-        for dx in range(kernel):
-            padded[:, :, dy : dy + height, dx : dx + width] += columns[:, :, dy, dx]
-    if pad == 0:
-        return padded
-    return padded[:, :, pad:-pad, pad:-pad]
-
-
-def _col2im(
-    columns: np.ndarray, input_shape: tuple, kernel: int, pad: int
-) -> np.ndarray:
-    """Inverse of :func:`_im2col`: scatter-add columns back into an image.
-
-    Vectorised scatter-add through ``np.add.at`` on flat pixel indices,
-    ordered (dy, dx)-major exactly like the reference loop so the result is
-    bit-identical to :func:`_col2im_loops` (``ufunc.at`` applies updates
-    sequentially in index order).  ``Conv2D.backward`` no longer calls this —
-    it computes the input gradient as a gather correlation — but the function
-    remains the exact adjoint of :func:`_im2col` and is used by the layer
-    equivalence tests.
-    """
-    batch, channels, height, width = input_shape
-    padded_h, padded_w = height + 2 * pad, width + 2 * pad
-    # (batch, channels, kernel*kernel, H*W) view, (dy, dx)-major like the loop.
-    source = columns.reshape(
-        batch, height * width, channels, kernel * kernel
-    ).transpose(0, 2, 3, 1)
-    offsets_y, offsets_x = np.divmod(np.arange(kernel * kernel), kernel)
-    rows = offsets_y[:, None] + np.arange(height)[None, :]
-    cols = offsets_x[:, None] + np.arange(width)[None, :]
-    # Flat padded-image index of each (offset, pixel) contribution.
-    flat = (
-        rows[:, :, None] * padded_w + cols[:, None, :]
-    ).reshape(kernel * kernel, height * width)
-    padded = np.zeros((batch, channels, padded_h * padded_w), dtype=columns.dtype)
-    np.add.at(padded, (slice(None), slice(None), flat.ravel()), source.reshape(batch, channels, -1))
-    padded = padded.reshape(batch, channels, padded_h, padded_w)
-    if pad == 0:
-        return padded
-    return padded[:, :, pad:-pad, pad:-pad]
-
-
 class Conv2D(Layer):
     """Same-padding 2-D convolution over (batch, channels, H, W) inputs.
 
@@ -385,7 +231,7 @@ class Conv2D(Layer):
     with the same strided primitive and correlated against the spatially
     flipped kernel (mathematically identical to the scatter-add ``col2im``,
     verified by the finite-difference and adjoint tests).  Column and padding
-    buffers are reused across calls while shapes/dtypes match.
+    buffers are reused across calls while shapes match.
     """
 
     def __init__(
@@ -418,23 +264,17 @@ class Conv2D(Layer):
         self._buffers: Dict[str, list] = {}
 
     def _unfold(self, images: np.ndarray, role: str) -> np.ndarray:
-        """Buffered strided unfold (or the loop reference under the switch)."""
+        """Buffered strided unfold of ``images`` into the ``role`` buffers."""
         pad = self.kernel // 2
-        if _LOOP_UNFOLD:
-            return _im2col_loops(images, self.kernel, pad)
         batch, channels, height, width = images.shape
         col_shape = (batch, channels, self.kernel, self.kernel, height, width)
         pair = self._buffers.setdefault(role, [None, None])
-        if pair[0] is None or pair[0].shape != col_shape or pair[0].dtype != images.dtype:
-            pair[0] = np.empty(col_shape, dtype=images.dtype)
+        if pair[0] is None or pair[0].shape != col_shape:
+            pair[0] = np.empty(col_shape)
         if pad:
             pad_shape = (batch, channels, height + 2 * pad, width + 2 * pad)
-            if (
-                pair[1] is None
-                or pair[1].shape != pad_shape
-                or pair[1].dtype != images.dtype
-            ):
-                pair[1] = np.empty(pad_shape, dtype=images.dtype)
+            if pair[1] is None or pair[1].shape != pad_shape:
+                pair[1] = np.empty(pad_shape)
         return _im2col(images, self.kernel, pad, out=pair[0], pad_buffer=pair[1])
 
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
@@ -463,18 +303,9 @@ class Conv2D(Layer):
             batch, height * width, self.out_channels
         )
         self._grad_bias = grad_flat.sum(axis=(0, 1))
-        if _LEGACY_BACKWARD:
-            # Seed-exact backward: einsum weight reduction plus scatter-add
-            # col2im of the expanded column gradient.
-            self._grad_weight = np.einsum("bpc,bpo->co", self._columns, grad_flat)
-            grad_columns = grad_flat @ self.weight.T
-            return _col2im_loops(
-                grad_columns, self._input_shape, self.kernel, self.kernel // 2
-            )
-        # Production backward.  The transposed column view (batch, fan_in,
-        # H*W) is contiguous (it is the unfold buffer's natural layout), so
-        # the weight gradient reduces through one batched GEMM instead of a
-        # naive einsum.
+        # The transposed column view (batch, fan_in, H*W) is contiguous (it
+        # is the unfold buffer's natural layout), so the weight gradient
+        # reduces through one batched GEMM instead of a naive einsum.
         self._grad_weight = np.matmul(
             self._columns.transpose(0, 2, 1), grad_flat
         ).sum(axis=0)

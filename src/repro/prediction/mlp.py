@@ -34,7 +34,6 @@ class MLPPredictor(NeuralDemandPredictor):
         learning_rate: float = 1e-3,
         max_train_samples: int | None = 4096,
         seed: RandomState = None,
-        train_dtype: str | None = None,
     ) -> None:
         if not hidden_sizes:
             raise ValueError("hidden_sizes must contain at least one layer width")
@@ -49,7 +48,6 @@ class MLPPredictor(NeuralDemandPredictor):
             learning_rate=learning_rate,
             max_train_samples=max_train_samples,
             seed=seed,
-            train_dtype=train_dtype,
         )
         self.hidden_sizes = tuple(int(size) for size in hidden_sizes)
 

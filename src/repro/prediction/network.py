@@ -70,6 +70,18 @@ def _num_samples(inputs: Inputs) -> int:
     return inputs.shape[0]
 
 
+def _check_aligned(inputs: Inputs, targets: np.ndarray, what: str) -> None:
+    """Raise unless every input view and ``targets`` hold the same sample count."""
+    views = inputs if isinstance(inputs, tuple) else (inputs,)
+    lengths = [len(view) for view in views]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{what} input views differ in length: {lengths}")
+    if len(targets) != lengths[0]:
+        raise ValueError(
+            f"{what} inputs have {lengths[0]} samples but targets have {len(targets)}"
+        )
+
+
 @dataclass
 class TrainingHistory:
     """Per-epoch training and validation metrics.
@@ -107,16 +119,6 @@ class Trainer:
     final epoch.  (The seed implementation kept the *last* epoch's weights,
     silently shipping a worse network whenever training had already started
     to overfit.)
-
-    Parameters
-    ----------
-    dtype:
-        ``None`` (default) trains in ``float64`` exactly as before;
-        ``np.float32`` (or ``"float32"``) casts the network parameters and
-        every batch to single precision, roughly halving the memory traffic
-        of the conv hot path.  Layer parameters must be exposed as
-        attributes matching their :attr:`Layer.params` keys (true for all
-        built-in layers) for the cast to reach them.
     """
 
     def __init__(
@@ -127,7 +129,6 @@ class Trainer:
         batch_size: int = 32,
         patience: Optional[int] = 5,
         seed: RandomState = None,
-        dtype: Union[str, np.dtype, None] = None,
     ) -> None:
         if epochs <= 0:
             raise ValueError("epochs must be positive")
@@ -138,28 +139,10 @@ class Trainer:
         self.batch_size = batch_size
         self.patience = patience
         self._rng = default_rng(seed)
-        self.dtype = None if dtype is None else np.dtype(dtype)
-        if self.dtype is not None and self.dtype not in (
-            np.dtype(np.float32),
-            np.dtype(np.float64),
-        ):
-            raise ValueError("dtype must be float32, float64 or None")
         parameter_layers = collect_parameter_layers(network)
         if not parameter_layers:
             raise ValueError("the network has no trainable parameters")
-        if self.dtype is not None:
-            for layer in parameter_layers:
-                for name, value in layer.params.items():
-                    if value.dtype != self.dtype:
-                        setattr(layer, name, value.astype(self.dtype))
         self.optimizer = Adam(parameter_layers, learning_rate=learning_rate)
-
-    def _cast(self, inputs: Inputs) -> Inputs:
-        if self.dtype is None:
-            return inputs
-        if isinstance(inputs, tuple):
-            return tuple(np.asarray(view, dtype=self.dtype) for view in inputs)
-        return np.asarray(inputs, dtype=self.dtype)
 
     def _snapshot_params(self) -> List[dict]:
         return [
@@ -191,12 +174,13 @@ class Trainer:
         num_samples = _num_samples(inputs)
         if num_samples == 0:
             raise ValueError("cannot train on zero samples")
-        inputs = self._cast(inputs)
-        targets = np.asarray(targets) if self.dtype is None else np.asarray(
-            targets, dtype=self.dtype
-        )
+        targets = np.asarray(targets)
+        _check_aligned(inputs, targets, "training")
+        if (val_inputs is None) != (val_targets is None):
+            raise ValueError("val_inputs and val_targets must be given together")
         if val_inputs is not None:
-            val_inputs = self._cast(val_inputs)
+            val_targets = np.asarray(val_targets)
+            _check_aligned(val_inputs, val_targets, "validation")
         best_val = np.inf
         best_snapshot: Optional[List[dict]] = None
         epochs_without_improvement = 0
@@ -213,7 +197,7 @@ class Trainer:
                 self.optimizer.step()
                 epoch_loss += loss * len(indices)
             history.train_loss.append(epoch_loss / num_samples)
-            if val_inputs is not None and val_targets is not None:
+            if val_inputs is not None:
                 predictions = self.network.forward(val_inputs, training=False)
                 val_mae = mae_metric(predictions, val_targets)
                 history.val_mae.append(val_mae)
@@ -243,7 +227,8 @@ class Trainer:
         afterwards, so holding a fitted model does not pin
         inference-batch-sized arrays between calls.
         """
-        inputs = self._cast(inputs)
+        if batch_size is not None and batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
         try:
             if batch_size is None:
                 return self.network.forward(inputs, training=False)

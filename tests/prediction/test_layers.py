@@ -1,8 +1,18 @@
-"""Tests for repro.prediction.layers, including finite-difference gradient checks."""
+"""Tests for repro.prediction.layers, including finite-difference gradient checks.
+
+The seed's conv pipeline, the reference the production ``Conv2D`` is checked
+against, lives in ``benchmarks/seed_conv.py``.
+"""
+
+import sys
+from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.prediction.deepst import DeepSTPredictor
+from repro.prediction.dmvst import DMVSTNetPredictor
 from repro.prediction.layers import (
     Conv2D,
     Dense,
@@ -10,10 +20,17 @@ from repro.prediction.layers import (
     ReLU,
     Reshape,
     Sequential,
-    _col2im,
-    _col2im_loops,
     _im2col,
+)
+
+_BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+if str(_BENCHMARKS) not in sys.path:
+    sys.path.insert(0, str(_BENCHMARKS))
+
+from seed_conv import (  # noqa: E402
+    _col2im_loops,
     _im2col_loops,
+    conv_layers,
     loop_unfold,
     seed_mode,
 )
@@ -195,23 +212,12 @@ class TestUnfoldEquivalence:
         second = _im2col(other, 3, 1, out=out, pad_buffer=pad_buffer)
         assert (second == _im2col_loops(other, 3, 1)).all()
 
-    def test_col2im_bit_identical_to_loops(self):
-        rng = np.random.default_rng(2)
-        for batch, channels, height, width, kernel in self.SHAPES:
-            pad = kernel // 2
-            columns = rng.normal(
-                size=(batch, height * width, channels * kernel * kernel)
-            )
-            loops = _col2im_loops(columns, (batch, channels, height, width), kernel, pad)
-            scatter = _col2im(columns, (batch, channels, height, width), kernel, pad)
-            assert (loops == scatter).all(), (batch, channels, height, width, kernel)
-
     def test_col2im_is_the_adjoint_of_im2col(self):
         """<col2im(c), x> == <c, im2col(x)> for random operands."""
         rng = np.random.default_rng(3)
         inputs = rng.normal(size=(2, 3, 5, 5))
         columns = rng.normal(size=(2, 25, 27))
-        lhs = np.sum(_col2im(columns, inputs.shape, 3, 1) * inputs)
+        lhs = np.sum(_col2im_loops(columns, inputs.shape, 3, 1) * inputs)
         rhs = np.sum(columns * _im2col(inputs, 3, 1))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -220,7 +226,7 @@ class TestUnfoldEquivalence:
         layer = Conv2D(3, 5, kernel=3, seed=7)
         inputs = rng.normal(size=(4, 3, 8, 8))
         production = layer.forward(inputs, training=False)
-        with loop_unfold():
+        with loop_unfold(layer):
             loops = layer.forward(inputs, training=False)
         assert (production == loops).all()
 
@@ -229,7 +235,7 @@ class TestUnfoldEquivalence:
         layer = Conv2D(2, 4, kernel=3, seed=8)
         inputs = rng.normal(size=(3, 2, 7, 6))
         production = layer.forward(inputs, training=False)
-        with seed_mode():
+        with seed_mode(layer):
             seed = layer.forward(inputs, training=False)
         assert (production == seed).all()
 
@@ -241,12 +247,10 @@ class TestUnfoldEquivalence:
 
         def run(context):
             layer = Conv2D(4, 5, kernel=3, seed=9)
-            with context():
+            with context(layer):
                 layer.forward(inputs)
                 grad_in = layer.backward(grad)
             return grad_in, layer.grads["weight"].copy(), layer.grads["bias"].copy()
-
-        from contextlib import nullcontext
 
         production = run(nullcontext)
         seed = run(seed_mode)
@@ -276,23 +280,12 @@ class TestUnfoldEquivalence:
         layer = Conv2D(2, 3, kernel=3, seed=12)
         small = rng.normal(size=(2, 2, 4, 4))
         large = rng.normal(size=(5, 2, 6, 6))
-        with loop_unfold():
+        with loop_unfold(layer):
             expected_small = layer.forward(small, training=False)
             expected_large = layer.forward(large, training=False)
         assert (layer.forward(small, training=False) == expected_small).all()
         assert (layer.forward(large, training=False) == expected_large).all()
         assert (layer.forward(small, training=False) == expected_small).all()
-
-    def test_float32_inputs_are_preserved(self):
-        layer = Conv2D(1, 2, kernel=3, seed=13)
-        layer.weight = layer.weight.astype(np.float32)
-        layer.bias = layer.bias.astype(np.float32)
-        inputs = np.random.default_rng(9).normal(size=(1, 1, 4, 4)).astype(np.float32)
-        output = layer.forward(inputs)
-        assert output.dtype == np.float32
-        grad_in = layer.backward(output)
-        assert grad_in.dtype == np.float32
-        assert layer.grads["weight"].dtype == np.float32
 
     def test_gradient_check_kernel_one(self):
         rng = np.random.default_rng(10)
@@ -309,6 +302,47 @@ class TestUnfoldEquivalence:
             layer.grads["weight"], numerical_gradient(loss, layer.weight), atol=1e-4
         )
         np.testing.assert_allclose(grad_in, numerical_gradient(loss, inputs), atol=1e-4)
+
+
+class TestSeedOracleScope:
+    """The seed pipeline is rebound on one network's instances, nothing else."""
+
+    @staticmethod
+    def _deepst(seed=0):
+        return DeepSTPredictor(filters=4, closeness=3, period=1, seed=seed).build_network(6)
+
+    @pytest.mark.parametrize("context", [loop_unfold, seed_mode])
+    def test_reaches_every_conv_and_restores_it(self, context):
+        deepst = self._deepst()
+        dmvst = DMVSTNetPredictor(filters=4, closeness=3, period=1, seed=0).build_network(6)
+        for network, expected in ((deepst, 4), (dmvst, 6)):
+            with context(network) as convs:
+                assert len(convs) == expected
+                assert all("_unfold" in vars(conv) for conv in convs)
+            assert not any("_unfold" in vars(conv) for conv in conv_layers(network))
+            assert not any("backward" in vars(conv) for conv in conv_layers(network))
+
+    def test_network_beside_the_oracle_runs_the_production_path(self):
+        rng = np.random.default_rng(11)
+        inputs = rng.normal(size=(3, 4, 6, 6))
+        grad = rng.normal(size=(3, 6, 6))
+
+        def forward_backward(network):
+            output = network.forward(inputs)
+            network.backward(grad)
+            return output, [conv.grads["weight"].copy() for conv in conv_layers(network)]
+
+        expected_output, expected_grads = forward_backward(self._deepst())
+        oracle, beside = self._deepst(), self._deepst()
+        with seed_mode(oracle):
+            forward_backward(oracle)
+            output, grads = forward_backward(beside)
+        assert (output == expected_output).all()
+        for got, want in zip(grads, expected_grads):
+            assert (got == want).all()
+        # Only the production unfold fills the per-layer buffers.
+        assert all(conv._buffers for conv in conv_layers(beside))
+        assert not any(conv._buffers for conv in conv_layers(oracle))
 
 
 class TestSequential:

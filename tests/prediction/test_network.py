@@ -13,6 +13,18 @@ from repro.prediction.network import (
 )
 
 
+class ConcatNetwork(Sequential):
+    """Two-view network: concatenates the views, then runs the dense stack."""
+
+    def forward(self, inputs, training=True):
+        merged = np.concatenate(inputs, axis=1)
+        return super().forward(merged, training=training)
+
+    def backward(self, grad_output):
+        grad = super().backward(grad_output)
+        return grad[:, :2], grad[:, 2:]
+
+
 class TestLosses:
     def test_mse_value_and_gradient(self):
         predictions = np.array([[1.0, 2.0]])
@@ -79,16 +91,6 @@ class TestTrainer:
         view_a = rng.normal(size=(64, 2))
         view_b = rng.normal(size=(64, 2))
         targets = (view_a + view_b) @ np.array([[1.0], [1.0]])
-
-        class ConcatNetwork(Sequential):
-            def forward(self, inputs, training=True):
-                merged = np.concatenate(inputs, axis=1)
-                return super().forward(merged, training=training)
-
-            def backward(self, grad_output):
-                grad = super().backward(grad_output)
-                return grad[:, :2], grad[:, 2:]
-
         network = ConcatNetwork([Dense(4, 8, seed=0), ReLU(), Dense(8, 1, seed=1)])
         trainer = Trainer(network, epochs=10, batch_size=16, seed=0)
         history = trainer.fit((view_a, view_b), targets)
@@ -138,22 +140,53 @@ class TestTrainer:
         expected, _ = mse_loss(network.forward(inputs, training=False), targets)
         assert history.train_loss[0] == pytest.approx(expected, rel=1e-6)
 
-    def test_float32_training(self):
-        inputs, targets = self._make_data(64)
-        network = Sequential([Dense(3, 8, seed=1), ReLU(), Dense(8, 1, seed=2)])
-        trainer = Trainer(
-            network, epochs=10, batch_size=16, seed=0, dtype="float32"
-        )
-        history = trainer.fit(inputs, targets)
-        assert history.train_loss[-1] < history.train_loss[0]
-        for layer in trainer.optimizer.layers:
-            for value in layer.params.values():
-                assert value.dtype == np.float32
-        assert trainer.predict(inputs.astype(np.float32)).dtype == np.float32
 
-    def test_invalid_dtype_rejected(self):
-        with pytest.raises(ValueError):
-            Trainer(Sequential([Dense(2, 1)]), dtype="float16")
+
+class TestTrainerRejectsMisalignedData:
+    """Mismatched arrays must fail loudly instead of training on a subset."""
+
+    @staticmethod
+    def _trainer():
+        network = Sequential([Dense(2, 4, seed=0), ReLU(), Dense(4, 1, seed=1)])
+        return Trainer(network, epochs=1, batch_size=4, seed=0)
+
+    def test_more_targets_than_inputs_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="10 samples but targets have 12"):
+            self._trainer().fit(rng.normal(size=(10, 2)), rng.normal(size=(12, 1)))
+
+    def test_tuple_views_of_different_lengths_rejected(self):
+        rng = np.random.default_rng(1)
+        network = ConcatNetwork([Dense(4, 4, seed=0), ReLU(), Dense(4, 1, seed=1)])
+        trainer = Trainer(network, epochs=1, batch_size=4, seed=0)
+        views = (rng.normal(size=(10, 2)), rng.normal(size=(12, 2)))
+        with pytest.raises(ValueError, match="views differ in length"):
+            trainer.fit(views, rng.normal(size=(10, 1)))
+
+    def test_misaligned_validation_rejected(self):
+        rng = np.random.default_rng(2)
+        inputs, targets = rng.normal(size=(8, 2)), rng.normal(size=(8, 1))
+        with pytest.raises(ValueError, match="validation inputs have 6 samples"):
+            self._trainer().fit(
+                inputs, targets, rng.normal(size=(6, 2)), rng.normal(size=(5, 1))
+            )
+
+    @pytest.mark.parametrize("given", ["val_inputs", "val_targets"])
+    def test_half_given_validation_rejected(self, given):
+        rng = np.random.default_rng(3)
+        inputs, targets = rng.normal(size=(8, 2)), rng.normal(size=(8, 1))
+        validation = {"val_inputs": inputs, "val_targets": targets}
+        with pytest.raises(ValueError, match="must be given together"):
+            self._trainer().fit(inputs, targets, **{given: validation[given]})
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_nonpositive_predict_batch_size_rejected(self, batch_size):
+        rng = np.random.default_rng(4)
+        inputs, targets = rng.normal(size=(8, 2)), rng.normal(size=(8, 1))
+        trainer = self._trainer()
+        trainer.fit(inputs, targets)
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            trainer.predict(inputs, batch_size=batch_size)
 
 
 class TestEarlyStoppingBestWeights:

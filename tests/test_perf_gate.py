@@ -1,4 +1,4 @@
-"""Negative tests for the CI perf gates (dispatch, service) and gatelib.
+"""Negative tests for the CI perf gates (dispatch, service, prediction) and gatelib.
 
 A gate only earns its keep if it actually fails on regressions, so these
 tests doctor a benchmark payload in every way the gates are supposed to catch
@@ -30,6 +30,7 @@ def _load_module(name):
 
 gate = _load_module("check_dispatch_regression")
 service_gate = _load_module("check_service_regression")
+prediction_gate = _load_module("check_prediction_regression")
 gatelib = _load_module("gatelib")
 
 
@@ -41,6 +42,11 @@ def baseline():
 @pytest.fixture()
 def service_baseline():
     return json.loads((_BENCHMARKS / "baseline_service.json").read_text())
+
+
+@pytest.fixture()
+def prediction_baseline():
+    return json.loads((_BENCHMARKS / "baseline_prediction.json").read_text())
 
 
 class TestDispatchPerfGate:
@@ -202,6 +208,95 @@ class TestServiceGate:
         assert service_baseline["replay_equal"] is True
         assert service_baseline["service"]["orders_shed"] == 0
         assert service_baseline["service"]["client_retries"] == 0
+
+
+def _past_wall_time_ceiling(base):
+    factor = base["gates"]["max_production_seconds_factor"]
+    return 2.0 * factor * base["training"]["production_seconds"]
+
+
+def _past_loss_rtol(base):
+    return (1.0 + 10.0 * base["gates"]["loss_rtol"]) * base["training"]["final_train_loss"]
+
+
+#: case -> (section, key, doctored value computed from the baseline, a
+#: substring of the one problem the gate must report).
+_PREDICTION_REGRESSIONS = {
+    "unfold_swap_lost": (
+        "training",
+        "unfold_swap_identical",
+        lambda base: False,
+        "loop-unfold and strided-unfold training are no longer bit-identical",
+    ),
+    "forward_lost": (
+        "training",
+        "forward_identical_to_seed",
+        lambda base: False,
+        "forward pass no longer bit-identical to the seed",
+    ),
+    "history_drift": (
+        "training",
+        "seed_history_drift",
+        lambda base: 2.0 * base["gates"]["history_rtol"],
+        "training history drifted",
+    ),
+    "speedup_below_floor": (
+        "training",
+        "speedup",
+        lambda base: base["gates"]["min_training_speedup"] / 2.0,
+        "training speedup",
+    ),
+    "wall_time_ceiling": (
+        "training",
+        "production_seconds",
+        _past_wall_time_ceiling,
+        "production wall-time",
+    ),
+    "final_loss_drift": (
+        "training",
+        "final_train_loss",
+        _past_loss_rtol,
+        "'final_train_loss' drifted",
+    ),
+    "rerun_bytes_differ": (
+        "suite_cache",
+        "rerun_bytes_identical",
+        lambda base: False,
+        "cache reruns are not byte-identical",
+    ),
+    "executor_bytes_differ": (
+        "suite_cache",
+        "executor_bytes_identical",
+        lambda base: False,
+        "executors wrote different cache bytes",
+    ),
+}
+
+
+class TestPredictionGate:
+    def test_baseline_passes_against_itself(self, prediction_baseline):
+        current = copy.deepcopy(prediction_baseline)
+        assert prediction_gate.check(current, prediction_baseline) == []
+
+    def test_baseline_keeps_the_gate_bounds(self, prediction_baseline):
+        gates = prediction_baseline["gates"]
+        assert gates["min_training_speedup"] == 2.0
+        assert gates["history_rtol"] == 1e-6
+        assert prediction_baseline["training"]["speedup"] > gates["min_training_speedup"]
+
+    @pytest.mark.parametrize("case", sorted(_PREDICTION_REGRESSIONS))
+    def test_each_regression_fails(self, prediction_baseline, case):
+        section, key, value, expected = _PREDICTION_REGRESSIONS[case]
+        current = copy.deepcopy(prediction_baseline)
+        current[section][key] = value(prediction_baseline)
+        problems = prediction_gate.check(current, prediction_baseline)
+        assert len(problems) == 1 and expected in problems[0], problems
+
+    def test_missing_training_section_fails(self, prediction_baseline):
+        current = copy.deepcopy(prediction_baseline)
+        del current["training"]
+        problems = prediction_gate.check(current, prediction_baseline)
+        assert problems == ["training section missing from benchmark output"]
 
 
 class TestGatelib:
