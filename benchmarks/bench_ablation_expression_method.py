@@ -1,7 +1,7 @@
 """Ablation — expression-error calculator used inside the tuner.
 
-DESIGN.md calls out the choice between the exact O(mK) calculator
-(Algorithm 2), the Gaussian approximation and the auto mode that switches
+docs/architecture.md §2 calls out the choice between the exact O(mK)
+calculator (Algorithm 2), the Gaussian approximation and the auto mode that switches
 between them by MGrid mean.  This ablation verifies, on a real alpha grid from
 the NYC-like city, that the three modes agree on the total expression error to
 within a fraction of a percent while the Gaussian/auto modes are substantially

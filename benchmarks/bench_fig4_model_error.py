@@ -1,8 +1,9 @@
 """Figure 4 — total model error vs the number of MGrids, per prediction model.
 
 Paper shape: model error increases with ``n``; MLP > DeepST > DMVST-Net.
-The benchmark uses the calibrated surrogates (see DESIGN.md) so the full sweep
-stays tractable; switch ``surrogate=False`` to train the NumPy networks.
+The benchmark uses the calibrated surrogates (see docs/architecture.md §3) so
+the full sweep stays tractable; switch ``surrogate=False`` to train the NumPy
+networks.
 """
 
 from conftest import run_once

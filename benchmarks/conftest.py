@@ -1,10 +1,10 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark reproduces one table or figure of the paper (see DESIGN.md for
-the index) at a configurable scale.  The profile defaults to ``tiny`` so that
-``pytest benchmarks/ --benchmark-only`` completes in minutes; set the
-``GRIDTUNER_BENCH_PROFILE`` environment variable to ``small`` (or ``paper``)
-for larger runs.
+Every benchmark reproduces one table or figure of the paper (see
+docs/architecture.md §13 for the index) at a configurable scale.  The profile
+defaults to ``tiny`` so that ``pytest benchmarks/ --benchmark-only`` completes
+in minutes; set the ``GRIDTUNER_BENCH_PROFILE`` environment variable to
+``small`` (or ``paper``) for larger runs.
 
 Benchmarks print the reproduced series as text tables; those printouts are the
 data recorded in EXPERIMENTS.md.

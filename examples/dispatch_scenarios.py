@@ -19,13 +19,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.dispatch.scenarios import (
     DispatchScenario,
     lifecycle_scenarios,
+    scenario_grid,
     stress_scenarios,
 )
-from repro.sweep.dispatch import DispatchSuiteRunner, suite_scenarios
+from repro.sweep.dispatch import DispatchSuiteRunner
 
 
 def main() -> None:
-    grid = suite_scenarios(
+    grid = scenario_grid(
         ["xian_like"],
         policies=("polar", "ls"),
         fleet_sizes=(30, 60),

@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.dispatch.scenarios import DispatchScenario, run_scenario
+from repro.dispatch.scenarios import DispatchScenario, build_scenario_bundle
 from repro.sweep.prediction import PredictionSuiteRunner, predictor_scenarios
 
 
@@ -50,7 +50,7 @@ def main() -> None:
 
     print("dispatching on predicted demand (fleet repositions on each model):")
     for guidance in ("none", "historical_average", "mlp", "oracle"):
-        result = run_scenario(
+        metrics = build_scenario_bundle(
             DispatchScenario(
                 city="xian_like",
                 fleet_size=40,
@@ -59,8 +59,7 @@ def main() -> None:
                 slots=(16, 17),
                 guidance=guidance,
             )
-        )
-        metrics = result.metrics
+        ).run()
         print(
             f"guidance={guidance:20s} served {metrics.served_orders:3d}/"
             f"{metrics.total_orders:<3d} revenue {metrics.total_revenue:8.1f}"

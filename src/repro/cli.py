@@ -29,6 +29,12 @@ Three subcommands cover the common workflows:
     scenario points through the prediction engine, with the same persistent
     result cache (reruns replay byte-stably).
 
+    The three suite verbs build their items and runner here, one layer from
+    the parsed flags: ``--profile`` supplies the dataset scale and history
+    length, plus the HGrid budget and seed (sweep) or the HGrid budget and
+    case-study slots (dispatch); ``--preset`` accepts the short aliases in
+    :data:`CITY_ALIASES`.
+
 ``fuzz``
     Differential fuzzing of the dispatch engines: seeded micro-scenarios are
     replayed on the scalar oracle and every vector/sparse configuration;
@@ -75,16 +81,20 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.core.tuner import GridTuner
 from repro.data.dataset import EventDataset
 from repro.data.presets import CITY_PRESETS, city_preset
+from repro.dispatch.scenarios import (
+    DispatchScenario,
+    lifecycle_scenarios,
+    pathological_scenarios,
+    scenario_grid,
+)
 from repro.experiments.case_study import run_task_assignment, table3_promotion
+from repro.experiments.config import ExperimentConfig, get_profile
 from repro.experiments.context import CITIES, MODELS, ExperimentContext
 from repro.experiments.error_curves import (
     expression_error_curve,
     model_error_curve,
     real_error_curve,
 )
-from repro.experiments.dispatch_suite import run_dispatch_suite
-from repro.experiments.prediction_suite import run_prediction_suite
-from repro.experiments.multi_city import resolve_city, run_city_sweep
 from repro.experiments.reporting import format_table
 from repro.experiments.search_eval import evaluate_search_algorithms
 from repro.fuzz import (
@@ -97,10 +107,21 @@ from repro.fuzz import (
 from repro.fuzz.generator import WORLD_POLICIES
 from repro.prediction.registry import available_models, model_factory
 from repro.service.chaos import BUGS as CHAOS_BUGS
+from repro.sweep.dispatch import DispatchSuiteRunner
+from repro.sweep.prediction import PredictionSuiteRunner, predictor_scenarios
+from repro.sweep.runner import SweepRunner, sweep_tasks
+from repro.sweep.suite import CachedSuiteRunner
 from repro.utils.cache import canonical_json
 
 #: Experiments runnable through ``python -m repro experiment <name>``.
 EXPERIMENT_NAMES = ("fig3", "fig4", "fig5", "fig6", "table3", "table4")
+
+#: Short aliases ``--preset`` accepts for the city presets.
+CITY_ALIASES = {
+    "nyc": "nyc_like",
+    "chengdu": "chengdu_like",
+    "xian": "xian_like",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -823,20 +844,31 @@ def _csv(text: str) -> List[str]:
     return [name.strip() for name in text.split(",") if name.strip()]
 
 
+def _cities(text: str) -> List[str]:
+    """City presets named by a comma-separated ``--preset`` (aliases resolved)."""
+    return [CITY_ALIASES.get(name, name) for name in _csv(text)]
+
+
 def _run_suite(
     args: argparse.Namespace,
-    run: Callable[..., Any],
+    make_runner: Callable[..., CachedSuiteRunner],
     noun: str,
     title: str,
     columns: Dict[str, Callable[[Any], Any]],
-    **kwargs: Any,
 ) -> int:
-    """Run one cached suite; print its table (``columns`` + seconds/cache) and footer."""
+    """Run one cached suite; print its table (``columns`` + seconds/cache) and footer.
+
+    ``make_runner(config, cache_dir=..., max_workers=...)`` builds the suite's
+    items from the ``--profile`` configuration and returns their runner.  It
+    is called inside the error handler, so an unknown preset or model exits
+    2 with one line.
+    """
     cache_dir = None if args.cache_dir.lower() == "none" else args.cache_dir
     try:
-        report = run(
-            profile=args.profile, cache_dir=cache_dir, max_workers=args.workers, **kwargs
+        runner = make_runner(
+            get_profile(args.profile), cache_dir=cache_dir, max_workers=args.workers
         )
+        report = runner.run()
     except (ValueError, OSError) as exc:
         # OSError covers unusable cache directories (e.g. the path exists
         # as a regular file) surfacing from ResultCache.
@@ -858,6 +890,19 @@ def _run_suite(
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    def make_runner(config: ExperimentConfig, **options: Any) -> SweepRunner:
+        tasks = sweep_tasks(
+            _cities(args.preset),
+            models=_csv(args.models),
+            slots=args.slots,
+            algorithm=args.algorithm,
+            hgrid_budget=config.hgrid_budget,
+            scale=config.city_scale,
+            num_days=config.num_days,
+            seed=config.seed,
+        )
+        return SweepRunner(tasks, **options)
+
     columns = {
         "city": lambda o: o.task.city,
         "model": lambda o: o.task.model,
@@ -868,18 +913,37 @@ def _command_sweep(args: argparse.Namespace) -> int:
     }
     return _run_suite(
         args,
-        run_city_sweep,
+        make_runner,
         "searches",
         f"OGSS sweep ({args.algorithm}, profile={args.profile})",
         columns,
-        cities=[resolve_city(name) for name in _csv(args.preset)],
-        models=_csv(args.models),
-        slots=args.slots,
-        algorithm=args.algorithm,
     )
 
 
 def _command_dispatch(args: argparse.Namespace) -> int:
+    def make_runner(config: ExperimentConfig, **options: Any) -> DispatchSuiteRunner:
+        scenarios = scenario_grid(
+            _cities(args.preset),
+            policies=_csv(args.policies),
+            fleet_sizes=args.fleet_sizes,
+            demand_scales=args.demand_scales,
+            seeds=args.seeds,
+            scale=config.city_scale,
+            num_days=config.num_days,
+            slots=tuple(config.case_study_slots),
+            hgrid_budget=config.hgrid_budget,
+            matching=args.matching,
+            guidance=args.guidance,
+            test_days=args.test_days,
+            fleet_profile=args.fleet_profile,
+            max_wait_minutes=args.max_wait,
+        )
+        if args.scenario == "lifecycle":
+            scenarios = [variant for base in scenarios for variant in lifecycle_scenarios(base)]
+        elif args.scenario == "pathological":
+            scenarios = [variant for base in scenarios for variant in pathological_scenarios(base)]
+        return DispatchSuiteRunner(scenarios, engine=args.engine, executor=args.executor, **options)
+
     columns = {
         "city": lambda o: o.scenario.city,
         "policy": lambda o: o.scenario.policy,
@@ -896,23 +960,10 @@ def _command_dispatch(args: argparse.Namespace) -> int:
     }
     return _run_suite(
         args,
-        run_dispatch_suite,
+        make_runner,
         "scenarios",
         f"Dispatch scenario suite ({args.engine} engine, profile={args.profile})",
         columns,
-        cities=_csv(args.preset),
-        policies=_csv(args.policies),
-        fleet_sizes=args.fleet_sizes,
-        demand_scales=args.demand_scales,
-        seeds=args.seeds,
-        engine=args.engine,
-        matching=args.matching,
-        executor=args.executor,
-        guidance=args.guidance,
-        scenario_family=args.scenario,
-        test_days=args.test_days,
-        fleet_profile=args.fleet_profile,
-        max_wait_minutes=args.max_wait,
     )
 
 
@@ -922,6 +973,19 @@ def _command_predict(args: argparse.Namespace) -> int:
         hyper.append(("epochs", args.epochs))
     if args.max_train_samples is not None:
         hyper.append(("max_train_samples", args.max_train_samples))
+
+    def make_runner(config: ExperimentConfig, **options: Any) -> PredictionSuiteRunner:
+        scenarios = predictor_scenarios(
+            _cities(args.preset),
+            models=_csv(args.models),
+            resolutions=args.resolutions,
+            seeds=args.seeds,
+            scale=config.city_scale,
+            num_days=config.num_days,
+            hyper=tuple(hyper),
+        )
+        return PredictionSuiteRunner(scenarios, executor=args.executor, **options)
+
     columns = {
         "city": lambda o: o.scenario.city,
         "model": lambda o: o.scenario.model,
@@ -934,16 +998,10 @@ def _command_predict(args: argparse.Namespace) -> int:
     }
     return _run_suite(
         args,
-        run_prediction_suite,
+        make_runner,
         "predictors",
         f"Predictor suite ({args.executor} executor, profile={args.profile})",
         columns,
-        cities=_csv(args.preset),
-        models=_csv(args.models),
-        resolutions=args.resolutions,
-        seeds=args.seeds,
-        executor=args.executor,
-        hyper=tuple(hyper),
     )
 
 
@@ -1055,11 +1113,10 @@ def _command_fuzz(args: argparse.Namespace) -> int:
     return 1 if report.failed else 0
 
 
-def _service_scenario(args: argparse.Namespace):
-    from repro.dispatch.scenarios import DispatchScenario
-
+def _service_scenario(args: argparse.Namespace) -> DispatchScenario:
+    city = args.preset.strip()
     return DispatchScenario(
-        city=resolve_city(args.preset.strip()),
+        city=CITY_ALIASES.get(city, city),
         policy=args.policy,
         matching=args.matching,
         fleet_size=args.fleet_size,

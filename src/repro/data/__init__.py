@@ -2,12 +2,12 @@
 
 The original paper evaluates on the NYC TLC taxi dataset and the DiDi GAIA
 Chengdu / Xi'an datasets, none of which can be redistributed or downloaded in
-this environment.  This package provides the substitute substrate documented in
-``DESIGN.md``: parameterised synthetic cities whose event streams are drawn
-from inhomogeneous Poisson processes with realistic spatial hot-spots, road
-corridors and time-of-day profiles.  Every downstream quantity used by
-GridTuner (per-grid event counts, trip lengths, revenues) is derived from these
-event streams exactly as it would be from the real trip records.
+this environment.  This package provides the substitute substrate documented
+in ``docs/architecture.md`` §0: parameterised synthetic cities whose event
+streams are drawn from inhomogeneous Poisson processes with realistic spatial
+hot-spots, road corridors and time-of-day profiles.  Every downstream quantity
+used by GridTuner (per-grid event counts, trip lengths, revenues) is derived
+from these event streams exactly as it would be from the real trip records.
 """
 
 from repro.data.events import EventLog, TimeSlotConfig

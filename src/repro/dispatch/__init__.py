@@ -59,7 +59,6 @@ from repro.dispatch.scenarios import (
     lifecycle_scenarios,
     lifecycle_stress_scenario,
     reference_scenario,
-    run_scenario,
     scenario_grid,
     shift_windows,
     stress_scenarios,
@@ -106,7 +105,6 @@ __all__ = [
     "lifecycle_scenarios",
     "lifecycle_stress_scenario",
     "reference_scenario",
-    "run_scenario",
     "scenario_grid",
     "shift_windows",
     "stress_scenarios",

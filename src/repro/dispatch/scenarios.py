@@ -49,7 +49,6 @@ from repro.dispatch.travel import TravelModel
 from repro.prediction.oracle import PerfectPredictor
 from repro.prediction.registry import available_models, create_seeded_model
 from repro.utils.rng import default_rng, seed_for
-from repro.utils.timer import wall_clock
 from repro.utils.validation import ensure_perfect_square
 
 #: Bump when the scenario semantics or serialised payload change, so stale
@@ -564,35 +563,6 @@ def _guidance_provider(
     first = int(test_days[0])
     rebased = [(int(day) - first, slot) for (day, slot) in targets]
     return PredictedDemandProvider(layout, predictions, rebased)
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Outcome of one scenario simulation."""
-
-    scenario: DispatchScenario
-    metrics: DispatchMetrics
-    total_orders: int
-    seconds: float
-    engine: str
-
-
-def run_scenario(
-    scenario: DispatchScenario,
-    engine: str = "vector",
-    dataset: Optional[EventDataset] = None,
-) -> ScenarioResult:
-    """Build the scenario's inputs and simulate it once."""
-    bundle = build_scenario_bundle(scenario, dataset=dataset)
-    start = wall_clock()
-    metrics = bundle.run(engine=engine)
-    return ScenarioResult(
-        scenario=scenario,
-        metrics=metrics,
-        total_orders=bundle.total_order_count,
-        seconds=wall_clock() - start,
-        engine=engine,
-    )
 
 
 def scenario_grid(

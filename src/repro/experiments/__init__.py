@@ -1,8 +1,8 @@
 """Experiment harness reproducing every table and figure of the paper's evaluation.
 
-Each module corresponds to one group of figures/tables (see DESIGN.md for the
-per-experiment index); the benchmark suite under ``benchmarks/`` calls these
-functions and prints the reproduced series.
+Each module corresponds to one group of figures/tables (see
+docs/architecture.md §13 for the per-experiment index); the benchmark suite
+under ``benchmarks/`` calls these functions and prints the reproduced series.
 """
 
 from repro.experiments.config import (
@@ -49,7 +49,6 @@ from repro.experiments.algorithm_cost import (
     algorithm_cost_sweep,
     batch_cost_sweep,
 )
-from repro.experiments.multi_city import CITY_ALIASES, resolve_city, run_city_sweep
 from repro.experiments.dataset_size import DatasetSizePoint, dataset_size_sweep
 from repro.experiments.reporting import format_series, format_table
 
@@ -88,9 +87,6 @@ __all__ = [
     "BatchCostPoint",
     "algorithm_cost_sweep",
     "batch_cost_sweep",
-    "CITY_ALIASES",
-    "resolve_city",
-    "run_city_sweep",
     "DatasetSizePoint",
     "dataset_size_sweep",
     "format_series",

@@ -64,8 +64,8 @@ def model_error_curve(
     """Figure 4: total model error (n * MAE) vs ``n`` per prediction model.
 
     ``surrogate=True`` replaces neural training with the calibrated noisy
-    oracle (see DESIGN.md), which keeps large sweeps tractable while preserving
-    the MLP > DeepST > DMVST-Net ordering.
+    oracle (see docs/architecture.md §3), which keeps large sweeps tractable
+    while preserving the MLP > DeepST > DMVST-Net ordering.
     """
     config = context.config
     sides = tuple(sides or config.mgrid_sides)

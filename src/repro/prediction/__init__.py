@@ -2,8 +2,9 @@
 
 PyTorch and a GPU are unavailable in this environment, so the MLP, DeepST and
 DMVST-Net prediction models are reimplemented on top of small hand-rolled
-NumPy layers (see DESIGN.md for the substitution rationale).  A historical-
-average baseline and two oracle-style surrogates complete the set.
+NumPy layers (see docs/architecture.md §3 for the substitution rationale).
+A historical-average baseline and two oracle-style surrogates complete the
+set.
 """
 
 from repro.prediction.layers import (

@@ -230,9 +230,9 @@ class Trainer:
         if batch_size is not None and batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         try:
-            if batch_size is None:
-                return self.network.forward(inputs, training=False)
             num_samples = _num_samples(inputs)
+            if batch_size is None or num_samples == 0:
+                return self.network.forward(inputs, training=False)
             outputs = []
             for start in range(0, num_samples, batch_size):
                 indices = np.arange(start, min(start + batch_size, num_samples))

@@ -12,8 +12,8 @@ Two predictors live here:
   dozens of (time slot, n) combinations per search algorithm and city; training
   a neural network for every combination is infeasible at laptop scale, so the
   search benchmarks exercise the full OGSS machinery with this surrogate.  The
-  substitution is documented in DESIGN.md; the neural models remain available
-  for the error-curve experiments (Figures 4-5).
+  substitution is documented in docs/architecture.md §3; the neural models
+  remain available for the error-curve experiments (Figures 4-5).
 """
 
 from __future__ import annotations

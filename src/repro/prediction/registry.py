@@ -33,7 +33,7 @@ _REGISTRY: Dict[str, ModelFactory] = {
 
 #: Surrogate noise levels that mimic the relative accuracy of the three neural
 #: models (MLP least accurate, DMVST-Net most accurate) when a fast surrogate
-#: is needed in place of full training (see DESIGN.md).
+#: is needed in place of full training (see docs/architecture.md §3).
 SURROGATE_NOISE_LEVELS: Dict[str, float] = {
     "mlp": 1.0,
     "deepst": 0.6,

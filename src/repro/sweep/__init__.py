@@ -43,7 +43,6 @@ from repro.sweep.dispatch import (
     DispatchSuiteRunner,
     ScenarioOutcome,
     SuiteReport,
-    suite_scenarios,
 )
 from repro.sweep.prediction import (
     PredictionSuiteReport,
@@ -65,7 +64,6 @@ __all__ = [
     "DispatchSuiteRunner",
     "ScenarioOutcome",
     "SuiteReport",
-    "suite_scenarios",
     "PredictionSuiteReport",
     "PredictionSuiteRunner",
     "PredictorOutcome",

@@ -13,6 +13,7 @@ share of a scenario's cost, so each worker task generates one dataset.
 
 Example
 -------
+>>> from repro.dispatch.scenarios import scenario_grid
 >>> scenarios = scenario_grid(["xian_like"], fleet_sizes=[50], seeds=[7])
 >>> report = DispatchSuiteRunner(scenarios, cache_dir="/tmp/suite").run()
 >>> report.outcomes[0].metrics.served_orders
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.data.dataset import EventDataset
 from repro.dispatch.entities import DispatchMetrics
@@ -33,7 +34,6 @@ from repro.dispatch.scenarios import (
     DispatchScenario,
     build_scenario_bundle,
     build_scenario_dataset,
-    scenario_grid,
 )
 from repro.sweep.suite import CachedSuiteReport, CachedSuiteRunner
 from repro.utils.cache import ResultCache
@@ -188,21 +188,3 @@ class DispatchSuiteRunner(CachedSuiteRunner[DispatchScenario, ScenarioOutcome]):
     def compute(self) -> partial:
         return partial(_simulate_scenario, providers=self._providers, engine=self.engine)
 
-
-def suite_scenarios(
-    cities: Iterable[str],
-    policies: Iterable[str] = ("polar", "ls"),
-    fleet_sizes: Iterable[int] = (200,),
-    demand_scales: Iterable[float] = (1.0,),
-    seeds: Iterable[int] = (7,),
-    **common: Any,
-) -> List[DispatchScenario]:
-    """Cross-product scenario builder (alias of :func:`scenario_grid`)."""
-    return scenario_grid(
-        list(cities),
-        policies=list(policies),
-        fleet_sizes=list(fleet_sizes),
-        demand_scales=list(demand_scales),
-        seeds=list(seeds),
-        **common,
-    )

@@ -12,7 +12,6 @@ from repro.dispatch.scenarios import (
     lifecycle_stress_scenario,
     predicted_demand_scenarios,
     reference_scenario,
-    run_scenario,
     scenario_grid,
     shift_windows,
     stress_scenarios,
@@ -119,21 +118,19 @@ class TestScenarioRuns:
         bundle = build_scenario_bundle(small_scenario())
         assert bundle.run("vector") == bundle.run("scalar")
 
-    def test_run_scenario_reports_orders_and_seconds(self):
-        result = run_scenario(small_scenario())
-        assert result.total_orders == result.metrics.total_orders
-        assert result.seconds >= 0
-        assert result.engine == "vector"
+    def test_bundle_reports_its_order_count(self):
+        bundle = build_scenario_bundle(small_scenario())
+        assert bundle.total_order_count == bundle.run().total_orders
 
     def test_runs_are_deterministic(self):
         scenario = small_scenario()
-        first = run_scenario(scenario).metrics
-        second = run_scenario(scenario).metrics
+        first = build_scenario_bundle(scenario).run()
+        second = build_scenario_bundle(scenario).run()
         assert first == second
 
     def test_surge_increases_orders(self):
-        base = run_scenario(small_scenario()).total_orders
-        surge = run_scenario(small_scenario(demand_scale=3.0)).total_orders
+        base = build_scenario_bundle(small_scenario()).total_order_count
+        surge = build_scenario_bundle(small_scenario(demand_scale=3.0)).total_order_count
         assert surge > base
 
     def test_guidance_none_disables_repositioning_provider(self):
@@ -167,8 +164,8 @@ class TestScenarioRuns:
             predicted.provider.mgrid_demand(0, slot),
         )
         # The predictor-guided run is as deterministic as the oracle one.
-        first = run_scenario(small_scenario(guidance="historical_average")).metrics
-        second = run_scenario(small_scenario(guidance="historical_average")).metrics
+        first = build_scenario_bundle(small_scenario(guidance="historical_average")).run()
+        second = build_scenario_bundle(small_scenario(guidance="historical_average")).run()
         assert first == second
 
     def test_guidance_keys_the_cache_payload(self):

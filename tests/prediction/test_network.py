@@ -105,6 +105,13 @@ class TestTrainer:
             trainer.predict(inputs), trainer.predict(inputs, batch_size=10), atol=1e-12
         )
 
+    def test_predict_zero_samples_batched_matches_unbatched(self):
+        trainer = Trainer(Sequential([Dense(2, 1, seed=0)]))
+        empty = np.zeros((0, 2))
+        unbatched = trainer.predict(empty)
+        batched = trainer.predict(empty, batch_size=4)
+        assert unbatched.shape == batched.shape == (0, 1)
+
     def test_invalid_hyperparameters(self):
         network = Sequential([Dense(2, 1)])
         with pytest.raises(ValueError):

@@ -12,12 +12,12 @@ import threading
 import pytest
 
 from repro.cli import main
+from repro.dispatch.scenarios import scenario_grid
 from repro.sweep import (
     DispatchSuiteRunner,
     PredictionSuiteRunner,
     SweepRunner,
     predictor_scenarios,
-    suite_scenarios,
     sweep_tasks,
 )
 from repro.utils.cache import ResultCache
@@ -38,7 +38,7 @@ SUITES = {
     ),
     "dispatch": lambda: (
         DispatchSuiteRunner,
-        suite_scenarios(
+        scenario_grid(
             ["xian_like"],
             policies=("polar",),
             fleet_sizes=(15,),

@@ -4,15 +4,15 @@ import json
 
 import pytest
 
-from repro.dispatch.scenarios import DispatchScenario
-from repro.sweep.dispatch import DispatchSuiteRunner, suite_scenarios
+from repro.dispatch.scenarios import DispatchScenario, scenario_grid
+from repro.sweep.dispatch import DispatchSuiteRunner
 
 SMALL = dict(scale=0.003, num_days=6, slots=(16, 17))
 
 
 def small_scenarios(**overrides):
     params = {**SMALL, **overrides}
-    return suite_scenarios(
+    return scenario_grid(
         ["xian_like"],
         policies=("polar", "ls"),
         fleet_sizes=(15,),
@@ -73,6 +73,10 @@ class TestDispatchSuiteRunner:
         ).run()
         assert vector.cache_hits == 1
         assert scalar.outcomes[0].metrics == vector.outcomes[0].metrics
+        # The engine is recorded, not keyed: the replay names the engine that
+        # computed the entry.
+        assert scalar.outcomes[0].engine == "scalar"
+        assert vector.outcomes[0].engine == "scalar"
 
     def test_datasets_shared_across_scenarios(self):
         runner = DispatchSuiteRunner(small_scenarios(), max_workers=1)

@@ -1,8 +1,15 @@
 """Tests for the command-line interface (python -m repro ...)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import EXPERIMENT_NAMES, build_parser, main
+from repro.dispatch.scenarios import DispatchScenario, lifecycle_scenarios
+from repro.experiments.config import PROFILES, get_profile
+from repro.sweep.dispatch import DispatchSuiteRunner
+from repro.sweep.prediction import PredictionSuiteRunner, PredictorScenario
+from repro.sweep.runner import SweepRunner, SweepTask
 
 FAST_DATASET_ARGS = [
     "--city",
@@ -388,6 +395,93 @@ class TestPredictCommand:
         ]
         assert main(argv) == 0
         assert "Dispatch scenario suite" in capsys.readouterr().out
+
+
+class TestProfileBinding:
+    """Each suite verb caches exactly the items ``--profile`` describes.
+
+    The ``tiny`` profile is swapped for a variant whose every field differs
+    from the item defaults, so a profile field the CLI forgets to forward
+    changes a cache key and fails the comparison.
+    """
+
+    @pytest.fixture(autouse=True)
+    def profile(self, monkeypatch):
+        variant = replace(
+            PROFILES["tiny"],
+            city_scale=0.004,
+            num_days=9,
+            hgrid_budget=144,
+            case_study_slots=(17, 18),
+            seed=5,
+        )
+        monkeypatch.setitem(PROFILES, "tiny", variant)
+
+    @staticmethod
+    def cached_keys(cache_dir, argv):
+        assert main([*argv, "--profile", "tiny", "--cache-dir", str(cache_dir)]) == 0
+        return {path.stem for path in cache_dir.glob("*.json")}
+
+    def test_sweep_keys_follow_the_profile(self, tmp_path, capsys):
+        config = get_profile("tiny")
+        task = SweepTask(
+            "xian_like",
+            slot=17,
+            hgrid_budget=config.hgrid_budget,
+            scale=config.city_scale,
+            num_days=config.num_days,
+            seed=config.seed,
+        )
+        keys = self.cached_keys(tmp_path, ["sweep", "--preset", "xian", "--slots", "17"])
+        assert keys == {SweepRunner.cache_key(task)}
+
+    def test_dispatch_keys_follow_the_profile(self, tmp_path, capsys):
+        config = get_profile("tiny")
+        base = DispatchScenario(
+            "xian_like",
+            fleet_size=20,
+            scale=config.city_scale,
+            num_days=config.num_days,
+            slots=config.case_study_slots,
+            hgrid_budget=config.hgrid_budget,
+        )
+        argv = [
+            "dispatch",
+            "--preset",
+            "xian",
+            "--policies",
+            "polar",
+            "--fleet-sizes",
+            "20",
+            "--demand-scales",
+            "1",
+            "--scenario",
+            "lifecycle",
+        ]
+        keys = self.cached_keys(tmp_path, argv)
+        assert keys == {DispatchSuiteRunner.cache_key(s) for s in lifecycle_scenarios(base)}
+        assert len(keys) == 4
+
+    def test_predict_keys_follow_the_profile(self, tmp_path, capsys):
+        config = get_profile("tiny")
+        scenario = PredictorScenario(
+            "xian_like",
+            model="historical_average",
+            resolution=4,
+            scale=config.city_scale,
+            num_days=config.num_days,
+        )
+        argv = [
+            "predict",
+            "--preset",
+            "xian",
+            "--models",
+            "historical_average",
+            "--resolutions",
+            "4",
+        ]
+        keys = self.cached_keys(tmp_path, argv)
+        assert keys == {PredictionSuiteRunner.cache_key(scenario)}
 
 
 class TestDispatchErrorPaths:
