@@ -7,7 +7,8 @@ in minutes; set the ``GRIDTUNER_BENCH_PROFILE`` environment variable to
 ``small`` (or ``paper``) for larger runs.
 
 Benchmarks print the reproduced series as text tables; those printouts are the
-data recorded in EXPERIMENTS.md.
+reproduced data (README "Benchmarks → paper figures" maps each file to its
+figure).
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The paper reports its results as figures and tables; the benchmark harness
 prints the corresponding series as aligned text tables so the trends (who wins,
 where the minimum falls, how large the improvement is) can be read directly
-from the benchmark output and recorded in EXPERIMENTS.md.
+from the benchmark output (README "Benchmarks → paper figures" maps each
+benchmark file to its figure).
 """
 
 from __future__ import annotations

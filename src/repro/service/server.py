@@ -3,8 +3,9 @@
 :class:`DispatchService` wires the pieces together around one scenario:
 
 * clients submit orders through :meth:`DispatchService.submit` (in-process)
-  or over HTTP (:func:`serve_http`, stdlib ``ThreadingHTTPServer`` — no
-  extra dependencies) on persistent HTTP/1.1 connections;
+  or over HTTP (:func:`serve_http`: a lean HTTP/1.1 reader on stdlib
+  ``socketserver``, one thread per persistent connection — no extra
+  dependencies, and no ``http.server`` machinery per request);
 * the :class:`~repro.service.scheduler.AdmissionScheduler` validates and
   stages them, shedding (:class:`~repro.service.scheduler.BackpressureError`,
   HTTP 429 + ``Retry-After``) once the bounded pending pool is full;
@@ -65,12 +66,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import socketserver
 import threading
 import time
 import traceback
 from collections import OrderedDict
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -674,27 +676,40 @@ class DispatchService:
 # ---------------------------------------------------------------------- #
 # HTTP front end (stdlib only)
 
+#: Longest request line or header line the front end reads (414 / 431 past it).
+MAX_LINE_BYTES = 64 * 1024
+#: Most header lines one request may carry (431 past it).
+MAX_HEADERS = 100
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server carrying a reference to the service."""
+
+class ServiceHTTPServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
+    """TCP server with one handler thread per connection; carries the service."""
 
     daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, address: Tuple[str, int], service: DispatchService) -> None:
         super().__init__(address, _ServiceHandler)
         self.service = service
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
+class _ServiceHandler(socketserver.StreamRequestHandler):
     """Routes: POST /orders, POST /drain, GET /healthz, GET /stats.
 
-    Connections persist (HTTP/1.1) unless the client sends
-    ``Connection: close``, so every POST body is read exactly once, whatever
-    the path, and a request whose framing cannot be trusted — no
-    ``Content-Length`` (411), a non-integer or negative one (400), one above
-    :data:`MAX_BODY_BYTES` (413) — is answered and its connection closed.
-    Each response leaves in one send: ``wfile`` is buffered and
-    ``handle_one_request`` flushes it once per request.
+    A minimal HTTP/1.1 reader: :meth:`handle` reads each request line and
+    its header lines with bounded ``readline`` calls, keeps only
+    ``Content-Length``, ``Connection`` and ``Expect``, and calls
+    ``do_GET``/``do_POST`` with ``self.path`` set.  Connections persist
+    unless the client sends ``Connection: close`` or speaks HTTP/1.0
+    without ``Connection: keep-alive`` (or ``protocol_version`` is
+    ``HTTP/1.0``).  Every POST body is read exactly once, whatever the path,
+    and a request whose framing cannot be trusted — no ``Content-Length``
+    (411), a non-integer or negative one (400), one above
+    :data:`MAX_BODY_BYTES` (413) — is answered and its connection closed,
+    as is a malformed request (400, 414, 431, 501).  Each response is
+    one preformatted write to the buffered ``wfile``, flushed once per
+    request, so it leaves in one send.
     """
 
     server: ServiceHTTPServer
@@ -703,23 +718,82 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT_SECONDS
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # keep CI logs quiet; the CLI prints its own summary
+    def handle(self) -> None:
+        self.close_connection = False
+        while not self.close_connection:
+            try:
+                self._handle_one_request()
+            except TimeoutError:
+                self.close_connection = True  # idle (or stalled) past ``timeout``
+            self.wfile.flush()
+
+    def _handle_one_request(self) -> None:
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            self.close_connection = True  # the client hung up
+            return
+        if len(line) > MAX_LINE_BYTES:
+            self._refuse(414, f"request line over {MAX_LINE_BYTES} bytes")
+            return
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            self._refuse(400, f"bad request line {line[:80]!r}")
+            return
+        method, self.path, version = words
+        fields: Dict[bytes, str] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                self._refuse(431, f"header line over {MAX_LINE_BYTES} bytes")
+                return
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name in (b"content-length", b"connection", b"expect"):
+                fields.setdefault(name, value.strip().decode("latin-1"))
+        else:
+            self._refuse(431, f"more than {MAX_HEADERS} headers")
+            return
+        # HTTP/1.1 persists unless told to close; HTTP/1.0 closes unless
+        # told to keep alive; an HTTP/1.0 front end always closes.
+        connection = fields.get(b"connection", "").lower()
+        http11 = version == self.protocol_version == "HTTP/1.1"
+        self.close_connection = self.protocol_version != "HTTP/1.1" or not (
+            connection == "keep-alive" or (http11 and connection != "close")
+        )
+        self._content_length = fields.get(b"content-length")
+        self._expect_continue = http11 and fields.get(b"expect", "").lower() == "100-continue"
+        if method == "POST":
+            self.do_POST()
+        elif method == "GET":
+            self.do_GET()
+        else:
+            self._refuse(501, f"unsupported method {method!r}")
 
     def _reply(
         self,
         code: int,
         payload: Dict[str, Any],
         headers: Optional[Dict[str, str]] = None,
+        close: bool = False,
     ) -> None:
+        """Write one response; ``close`` also hangs up after it."""
         body = canonical_json(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        head = (
+            f"{self.protocol_version} {code} {_PHRASES[code]}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        )
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            head += f"{name}: {value}\r\n"
+        if close:
+            self.close_connection = True
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
+
+    def _refuse(self, code: int, error: str) -> None:
+        """Answer a request that cannot be served, and hang up."""
+        self._reply(code, {"error": error}, close=True)
 
     def do_GET(self) -> None:  # noqa: N802
         service = self.server.service
@@ -733,7 +807,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Optional[bytes]:
         """The request's declared body; ``None`` once a framing error is answered."""
-        declared = self.headers.get("Content-Length")
+        declared = self._content_length
         if declared is None:
             code, error = 411, "Content-Length required"
         elif not (declared.isascii() and declared.isdigit()):
@@ -741,9 +815,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         elif int(declared) > MAX_BODY_BYTES:
             code, error = 413, f"body of {declared} bytes exceeds {MAX_BODY_BYTES}"
         else:
+            if self._expect_continue:
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                self.wfile.flush()
             return self.rfile.read(int(declared))
         # The rest of the stream cannot be framed: answer and hang up.
-        self._reply(code, {"error": error}, headers={"Connection": "close"})
+        self._refuse(code, error)
         return None
 
     def do_POST(self) -> None:  # noqa: N802

@@ -1,15 +1,27 @@
-"""HTTP/1.1 front end: persistent connections, exact framing, idle timeout."""
+"""HTTP/1.1 front end: persistent connections, exact framing, idle timeout,
+request parsing, and the seams the repository benchmark traces."""
 
 import http.client
 import json
 import socket
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.service import DispatchService, HttpClient, ServiceConfig, order_payloads
-from repro.service.server import MAX_BODY_BYTES, _ServiceHandler, serve_http
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    MAX_HEADERS,
+    MAX_LINE_BYTES,
+    _ServiceHandler,
+    serve_http,
+)
 from repro.utils.cache import canonical_json
+
+PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
 @pytest.fixture()
@@ -173,3 +185,189 @@ class TestIdleTimeout:
             assert client.retries == 0
         finally:
             client.close()
+
+
+def read_response(reader):
+    """``(status, headers, body)`` of the next response on a shared reader."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    for line in iter(reader.readline, b"\r\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, json.loads(reader.read(int(headers["content-length"])))
+
+
+class TestRequestParsing:
+    def test_http10_request_closes(self, port):
+        with raw_socket(port) as sock:
+            response, body = exchange(sock, b"GET /healthz HTTP/1.0\r\n\r\n")
+            assert response.status == 200 and body == {"status": "serving"}
+            assert peer_closed(sock)
+
+    def test_http10_keep_alive_is_honoured(self, port):
+        with raw_socket(port) as sock:
+            request = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+            response, _ = exchange(sock, request)
+            assert response.status == 200
+            response, body = exchange(sock, request)
+            assert response.status == 200 and body == {"status": "serving"}
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"GARBAGE", b"GET /healthz", b"GET /healthz FOO/1.1", b"GET /healthz HTTP/2.0"],
+        ids=["one-word", "no-version", "not-http", "http2"],
+    )
+    def test_malformed_request_line_is_refused_and_closed(self, port, line):
+        with raw_socket(port) as sock:
+            response, body = exchange(sock, line + b"\r\n\r\n")
+            assert response.status == 400 and "error" in body
+            assert response.getheader("Connection") == "close"
+            assert peer_closed(sock)
+
+    @pytest.mark.parametrize("method", [b"PUT", b"DELETE", b"HEAD"])
+    def test_unsupported_method_is_501(self, port, method):
+        with raw_socket(port) as sock:
+            response, body = exchange(
+                sock, method + b" /orders HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+            )
+            assert response.status == 501 and "error" in body
+            assert peer_closed(sock)
+
+    # The oversized lines below stop right past the limit, unterminated: the
+    # server must answer without waiting for the rest, and it reads every
+    # byte sent, so its close is an orderly FIN rather than a reset.
+
+    def test_request_line_over_the_limit_is_414(self, port):
+        line = b"GET /" + b"a" * (MAX_LINE_BYTES + 1 - len(b"GET /"))
+        with raw_socket(port) as sock:
+            response, _ = exchange(sock, line)
+            assert response.status == 414
+            assert peer_closed(sock)
+
+    def test_header_line_over_the_limit_is_431(self, port):
+        header = b"X-Big: " + b"a" * (MAX_LINE_BYTES + 1 - len(b"X-Big: "))
+        with raw_socket(port) as sock:
+            response, _ = exchange(sock, b"GET /healthz HTTP/1.1\r\n" + header)
+            assert response.status == 431
+            assert peer_closed(sock)
+
+    def test_too_many_headers_is_431(self, port):
+        headers = b"".join(b"X-%d: 1\r\n" % i for i in range(MAX_HEADERS + 1))
+        with raw_socket(port) as sock:
+            response, body = exchange(sock, b"GET /healthz HTTP/1.1\r\n" + headers)
+            assert response.status == 431 and "headers" in body["error"]
+            assert peer_closed(sock)
+
+    def test_the_most_headers_allowed_are_read(self, port):
+        headers = b"".join(b"X-%d: 1\r\n" % i for i in range(MAX_HEADERS - 1))
+        with raw_socket(port) as sock:
+            response, _ = exchange(
+                sock, b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + headers + b"\r\n"
+            )
+            assert response.status == 200
+
+    def test_lower_case_content_length(self, port, payloads):
+        request = post("/orders", canonical_json(payloads[0]).encode("utf-8"))
+        request = request.replace(b"Content-Length:", b"content-length:")
+        with raw_socket(port) as sock:
+            response, reply = exchange(sock, request)
+            assert response.status == 200 and reply == {"order_id": 0}
+            response, _ = exchange(sock, HEALTHZ)
+            assert response.status == 200
+
+    def test_pipelined_requests_are_answered_in_order(self, port, payloads):
+        body = canonical_json(payloads[0]).encode("utf-8")
+        with raw_socket(port) as sock:
+            sock.sendall(post("/orders", body) + b"GET /stats HTTP/1.1\r\n\r\n" + HEALTHZ)
+            reader = sock.makefile("rb")
+            assert read_response(reader)[::2] == (200, {"order_id": 0})
+            status, _, stats = read_response(reader)
+            assert status == 200 and stats["submitted"] == 1
+            assert read_response(reader)[::2] == (200, {"status": "serving"})
+
+    def test_expect_100_continue_is_answered_before_the_body(self, port, payloads):
+        body = canonical_json(payloads[0]).encode("utf-8")
+        head = b"POST /orders HTTP/1.1\r\nContent-Length: %d\r\nExpect: 100-continue\r\n\r\n"
+        with raw_socket(port) as sock:
+            sock.sendall(head % len(body))
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)
+                assert chunk, "closed before 100 Continue"
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            response, reply = exchange(sock, body)
+            assert response.status == 200 and reply == {"order_id": 0}
+
+
+@pytest.fixture()
+def traced(monkeypatch):
+    """The repository benchmark's layer shims, installed for one test."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    names = ("shims", "tracer")
+    saved = {name: sys.modules.pop(name) for name in names if name in sys.modules}
+    import shims
+    from tracer import Patcher, Tracer
+
+    tracer, patcher = Tracer(), Patcher()
+    shims.install(tracer, patcher)
+    try:
+        yield tracer, shims
+    finally:
+        patcher.restore()
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+
+
+class TestBenchmarkSeams:
+    """``perfbench`` traces ``ServiceHTTPServer.finish_request`` (one call per
+    connection) and ``_ServiceHandler.do_POST`` (one call per POST, with
+    ``path`` set), and its CI keep-alive check is negative-tested by setting
+    ``_ServiceHandler.protocol_version`` to ``HTTP/1.0``."""
+
+    def test_shims_count_every_connection_and_order(self, traced, scenario, bundle, payloads):
+        tracer, shims = traced
+        service = DispatchService(ServiceConfig(scenario=scenario), bundle=bundle).start()
+        server = serve_http(service, port=0)
+        try:
+            for orders in (payloads[:3], payloads[3:5]):
+                connection = _CountingConnection(server.server_address[1])
+                for payload in orders:
+                    connection.request("POST", "/orders", canonical_json(payload).encode())
+                    response = connection.getresponse()
+                    assert response.status == 200 and response.read()
+                connection.request("POST", "/nope", b"{}")
+                assert connection.getresponse().status == 404
+                connection.close()
+            # A connection's span ends once its handler sees the hang-up.
+            deadline = time.monotonic() + 10.0
+            while len(tracer.durations("http.connection")) < 2:
+                assert time.monotonic() < deadline, "handlers never finished"
+                time.sleep(0.01)
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.drain()
+        layers = shims.layer_metrics(tracer)
+        assert layers["http.connections"] == 2
+        assert len(tracer.durations("http.request")) == 5  # POST /orders only
+        assert layers["http.handler_s"] > 0 and layers["http.request_ms"] > 0
+
+    def test_http10_protocol_version_closes_after_every_response(self, port, payloads, monkeypatch):
+        monkeypatch.setattr(_ServiceHandler, "protocol_version", "HTTP/1.0")
+        with raw_socket(port) as sock:
+            response, _ = exchange(sock, b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+            assert response.status == 200 and response.version == 10
+            assert peer_closed(sock)
+        connection = _CountingConnection(port)
+        try:
+            for payload in payloads[:3]:
+                connection.request("POST", "/orders", canonical_json(payload).encode())
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200 and response.will_close
+        finally:
+            connection.close()
+        assert connection.connects == 3
