@@ -333,10 +333,6 @@ class FleetArrays:
             np.any(self.online_from != 0.0) or np.any(self.online_until != DAY_MINUTES)
         )
 
-    def online_indices(self, minute: float) -> np.ndarray:
-        """Indices of drivers on shift at ``minute`` (in fleet order)."""
-        return np.nonzero(online_mask(self.online_from, self.online_until, minute))[0]
-
     def idle_indices(self, minute: float) -> np.ndarray:
         """Indices of drivers free *and on shift* at ``minute`` (in fleet order).
 
@@ -374,10 +370,3 @@ class DispatchMetrics:
         if self.total_orders == 0:
             return 0.0
         return self.served_orders / self.total_orders
-
-    @property
-    def cancellation_rate(self) -> float:
-        """Fraction of orders cancelled by rider patience expiry."""
-        if self.total_orders == 0:
-            return 0.0
-        return self.cancelled_orders / self.total_orders

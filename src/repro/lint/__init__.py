@@ -5,7 +5,9 @@ bit-identical engine equivalence, byte-stable canonical-JSON caches and
 WALs, RNG-stream-position equality, and the service layer's lock and
 supervision discipline.  Ten plugin rules (stdlib ``ast`` only — no new
 dependencies) walk the source and emit ``path:line:col RULE-ID message``
-findings; a committed baseline lets the gate start green and ratchet.
+findings.  A finding is either fixed or silenced in place by a justified
+``# repro-lint: disable=RULE -- reason`` suppression; there is no other way
+past the gate.
 
 Per-module rules see one parsed file; the project rules (marked *) run over
 the per-function RNG provenance summaries built by :mod:`repro.lint.rngflow`
@@ -30,15 +32,8 @@ Use ``repro lint`` or ``python -m repro.lint`` from the command line, or
 :func:`run_lint` programmatically.
 """
 
-from repro.lint.baseline import (
-    BASELINE_SCHEMA,
-    BaselineError,
-    baseline_payload,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.base import ImportMap, InvariantRule, ModuleContext, ProjectRule
-from repro.lint.findings import Finding, assign_fingerprints
+from repro.lint.findings import Finding
 from repro.lint.rngflow import (
     ModuleSummary,
     ProjectIndex,
@@ -55,7 +50,6 @@ from repro.lint.runner import (
     build_arg_parser,
     list_rules,
     main,
-    render_github,
     render_text,
     run_from_args,
     run_lint,
@@ -70,8 +64,6 @@ from repro.lint.suppressions import (
 __all__ = [
     "ALL_RULES",
     "API_RULE_ID",
-    "BASELINE_SCHEMA",
-    "BaselineError",
     "DEFAULT_ROOTS",
     "Finding",
     "ImportMap",
@@ -86,18 +78,13 @@ __all__ = [
     "RULES_BY_ID",
     "Suppression",
     "apply_suppressions",
-    "assign_fingerprints",
-    "baseline_payload",
     "build_arg_parser",
     "list_rules",
-    "load_baseline",
     "main",
     "module_name_for",
     "parse_suppressions",
-    "render_github",
     "render_text",
     "run_from_args",
     "run_lint",
     "summarize_module",
-    "write_baseline",
 ]

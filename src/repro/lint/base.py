@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lint.findings import Finding
 
@@ -35,13 +35,7 @@ class ModuleContext:
     source: str
     """Raw file contents."""
     lines: Tuple[str, ...]
-    """Source split into lines (1-based access via :meth:`line_text`)."""
-
-    def line_text(self, lineno: int) -> str:
-        """Stripped text of 1-based ``lineno`` (empty when out of range)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
+    """Source split into lines."""
 
 
 class ImportMap:
@@ -147,8 +141,8 @@ class InvariantRule:
     Class attributes
     ----------------
     rule_id:
-        Stable identifier (``DET001`` ... ``API001``) used in findings,
-        suppressions and baselines.
+        Stable identifier (``DET001`` ... ``API001``) used in findings and
+        suppressions.
     title:
         One-line summary shown by ``repro lint --list-rules`` and the docs.
     scope:
@@ -175,15 +169,12 @@ class InvariantRule:
 
     def finding(self, context: ModuleContext, node: ast.AST, message: str) -> Finding:
         """Build a finding anchored at ``node``."""
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
         return Finding(
             path=context.path,
-            line=lineno,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             rule=self.rule_id,
             message=message,
-            text=context.line_text(lineno),
         )
 
 
@@ -212,37 +203,6 @@ class ProjectRule(InvariantRule):
         """
         raise NotImplementedError
 
-    def project_finding(
-        self,
-        path: str,
-        line: int,
-        col: int,
-        message: str,
-        text: str = "",
-    ) -> Finding:
+    def project_finding(self, path: str, line: int, col: int, message: str) -> Finding:
         """Build a finding anchored at a summary-recorded location."""
-        return Finding(
-            path=path, line=line, col=col, rule=self.rule_id, message=message, text=text
-        )
-
-
-def walk_assigned_self_attrs(node: ast.AST) -> List[ast.Attribute]:
-    """All ``self.<attr>`` targets assigned (plain or augmented) under ``node``."""
-    targets: List[ast.Attribute] = []
-    for child in ast.walk(node):
-        raw: Sequence[ast.expr]
-        if isinstance(child, ast.Assign):
-            raw = child.targets
-        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
-            raw = [child.target]
-        else:
-            continue
-        for target in raw:
-            for element in ast.walk(target):
-                if (
-                    isinstance(element, ast.Attribute)
-                    and isinstance(element.value, ast.Name)
-                    and element.value.id == "self"
-                ):
-                    targets.append(element)
-    return targets
+        return Finding(path=path, line=line, col=col, rule=self.rule_id, message=message)

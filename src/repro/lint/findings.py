@@ -1,18 +1,13 @@
-"""Finding record and baseline fingerprints for the invariant linter.
+"""Finding record for the invariant linter.
 
 A :class:`Finding` is one rule violation at one source location, rendered as
-``path:line:col: RULE-ID message``.  Its :func:`fingerprint` deliberately
-ignores the line *number* — baselines must survive unrelated edits above a
-grandfathered finding — and instead hashes the repo-relative path, the rule
-id, the normalised source line text, and an occurrence index that
-disambiguates several identical lines in one file.
+``path:line:col: RULE-ID message``.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -29,10 +24,6 @@ class Finding:
     """Rule identifier, e.g. ``DET001``."""
     message: str
     """Human-readable description of the violation."""
-    text: str = ""
-    """The stripped source line, used by the baseline fingerprint."""
-    fingerprint: str = field(default="", compare=False)
-    """Line-drift-stable identity; filled by :func:`assign_fingerprints`."""
 
     def render(self) -> str:
         """The canonical one-line text form of this finding."""
@@ -46,34 +37,4 @@ class Finding:
             "col": self.col,
             "rule": self.rule,
             "message": self.message,
-            "text": self.text,
-            "fingerprint": self.fingerprint,
         }
-
-
-def _digest(path: str, rule: str, text: str, occurrence: int) -> str:
-    raw = f"{path}::{rule}::{text}::{occurrence}".encode("utf-8")
-    return hashlib.sha256(raw).hexdigest()[:16]
-
-
-def assign_fingerprints(findings: Iterable[Finding]) -> List[Finding]:
-    """Return the findings with line-drift-stable fingerprints filled in.
-
-    Findings that share ``(path, rule, text)`` are numbered in source order,
-    so two identical violations on identical lines of the same file get
-    distinct fingerprints while staying independent of absolute line numbers.
-    """
-    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
-    seen: Dict[Tuple[str, str, str], int] = {}
-    out: List[Finding] = []
-    for finding in ordered:
-        key = (finding.path, finding.rule, finding.text)
-        occurrence = seen.get(key, 0)
-        seen[key] = occurrence + 1
-        out.append(
-            replace(
-                finding,
-                fingerprint=_digest(finding.path, finding.rule, finding.text, occurrence),
-            )
-        )
-    return out

@@ -109,7 +109,6 @@ class RngEvent:
     ``fresh:unseeded``, ``spawn:<parent-root>``, ``ret:<callee>``."""
     line: int
     col: int
-    text: str
 
 
 @dataclass(frozen=True)
@@ -218,9 +217,8 @@ class _FunctionScanner:
     ``spawn-unordered``.
     """
 
-    def __init__(self, module: str, context: ModuleContext, imports: ImportMap) -> None:
+    def __init__(self, module: str, imports: ImportMap) -> None:
         self.module = module
-        self.context = context
         self.imports = imports
         self.rng: List[RngEvent] = []
         self.rng_env: Dict[str, str] = {}
@@ -228,15 +226,7 @@ class _FunctionScanner:
         self.rng_return = ""
 
     def _event(self, kind: str, root: str, call: ast.Call) -> None:
-        self.rng.append(
-            RngEvent(
-                kind=kind,
-                root=root,
-                line=call.lineno,
-                col=call.col_offset,
-                text=self.context.line_text(call.lineno),
-            )
-        )
+        self.rng.append(RngEvent(kind=kind, root=root, line=call.lineno, col=call.col_offset))
 
     # -- statement walk ------------------------------------------------ #
 
@@ -423,7 +413,7 @@ def summarize_module(tree: ast.AST, context: ModuleContext) -> ModuleSummary:
     functions: List[FunctionSummary] = []
 
     def scan_function(fn: ast.FunctionDef, qualname: str) -> None:
-        scanner = _FunctionScanner(module, context, imports)
+        scanner = _FunctionScanner(module, imports)
         scanner.scan(fn)
         functions.append(
             FunctionSummary(
@@ -540,7 +530,6 @@ class RngProvenanceRule(ProjectRule):
                         "default_rng()/bit-generator root is unreproducible; "
                         "derive the stream from the run seed "
                         "(repro.utils.rng.default_rng / spawn_rng)",
-                        text=event.text,
                     )
                 )
             if not fn.rng_params:
@@ -570,7 +559,6 @@ class RngProvenanceRule(ProjectRule):
                         f"Generator ({', '.join(fn.rng_params)}) but also "
                         "roots a separate stream here; spawn from the "
                         "incoming generator instead (spawn_rng)",
-                        text=event.text,
                     )
                 )
         return findings
@@ -605,7 +593,6 @@ class SpawnOrderRule(ProjectRule):
                         "spawned generator feeds which consumer varies across "
                         "runs; iterate a sorted/explicitly-ordered sequence "
                         "when spawning or drawing from spawned streams",
-                        text=event.text,
                     )
                 )
         return findings

@@ -1,4 +1,4 @@
-"""File discovery, rule execution, suppression/baseline plumbing and output.
+"""File discovery, rule execution, suppression plumbing and output.
 
 :func:`run_lint` is the programmatic entry point; :func:`main` the argv-level
 one backing both ``repro lint`` and ``python -m repro.lint``.  Exit codes
@@ -27,10 +27,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import BaselineError, load_baseline, write_baseline
 from repro.lint.concurrency import SwallowedExceptionRule, UnlockedSharedStateRule
 from repro.lint.determinism import (
     CanonicalJsonRule,
@@ -40,7 +40,7 @@ from repro.lint.determinism import (
     WallClockRule,
 )
 from repro.lint.base import InvariantRule, ModuleContext, ProjectRule
-from repro.lint.findings import Finding, assign_fingerprints
+from repro.lint.findings import Finding
 from repro.lint.rngflow import (
     ModuleSummary,
     ProjectIndex,
@@ -97,7 +97,7 @@ RULES_BY_ID: Dict[str, InvariantRule] = {rule.rule_id: rule for rule in ALL_RULE
 
 
 class LintUsageError(ValueError):
-    """Bad invocation (unknown rule, missing path, unusable baseline)."""
+    """Bad invocation (unknown rule, missing path)."""
 
 
 @dataclass
@@ -105,8 +105,7 @@ class LintReport:
     """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
-    """New findings: unsuppressed and not in the baseline — these fail the gate."""
-    baselined: List[Finding] = field(default_factory=list)
+    """New findings: every unsuppressed one — these fail the gate."""
     suppressed: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: Tuple[str, ...] = ()
@@ -117,16 +116,14 @@ class LintReport:
 
     def to_payload(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "tool": "repro-lint",
             "files_scanned": self.files_scanned,
             "rules": list(self.rules_run),
             "new": [finding.to_payload() for finding in self.findings],
-            "baselined": [finding.to_payload() for finding in self.baselined],
             "suppressed": [finding.to_payload() for finding in self.suppressed],
             "counts": {
                 "new": len(self.findings),
-                "baselined": len(self.baselined),
                 "suppressed": len(self.suppressed),
             },
         }
@@ -215,7 +212,6 @@ def _scan_file(
                     col=(exc.offset or 1) - 1,
                     rule=PARSE_RULE_ID,
                     message=f"file does not parse: {exc.msg}",
-                    text="",
                 )
             ],
         )
@@ -274,26 +270,16 @@ def run_lint(
     root: Path,
     paths: Optional[Sequence[str]] = None,
     rules: Optional[Sequence[str]] = None,
-    baseline: str = "on",
-    baseline_file: Optional[Path] = None,
     jobs: int = 1,
 ) -> LintReport:
     """Lint the repo rooted at ``root`` and return a :class:`LintReport`.
 
-    ``baseline`` is ``"on"`` (filter through the committed baseline),
-    ``"off"`` (report everything) or ``"regenerate"`` (rewrite the baseline
-    from the current findings, then report clean).  ``jobs`` fans the
+    Every unsuppressed finding is new and fails the gate.  ``jobs`` fans the
     per-file phase across processes; the report is byte-identical for any
     value.
     """
     root = Path(root).resolve()
-    if baseline not in ("on", "off", "regenerate"):
-        raise LintUsageError(f"invalid baseline mode {baseline!r}")
     active = _select_rules(rules)
-    default_baseline = root / "lint-baseline.json"
-    baseline_path = Path(baseline_file) if baseline_file is not None else default_baseline
-    if not baseline_path.is_absolute():
-        baseline_path = root / baseline_path
 
     files = _discover_files(root, paths)
     check_api = any(rule.rule_id == API_RULE_ID for rule in active)
@@ -327,28 +313,13 @@ def run_lint(
             )
 
     kept, silenced, unused = apply_suppressions(rule_findings, directives)
-    raw_findings = kept
     if check_api:
-        raw_findings = raw_findings + api_parse_findings + unused
+        kept = kept + api_parse_findings + unused
 
-    findings = assign_fingerprints(raw_findings)
-    suppressed = assign_fingerprints(silenced)
-
-    if baseline == "regenerate":
-        write_baseline(baseline_path, findings)
-    if baseline == "off":
-        grandfathered: set = set()
-    else:
-        try:
-            grandfathered = load_baseline(baseline_path)
-        except BaselineError as exc:
-            raise LintUsageError(str(exc)) from exc
-    new = [f for f in findings if f.fingerprint not in grandfathered]
-    old = [f for f in findings if f.fingerprint in grandfathered]
+    source_order = attrgetter("path", "line", "col", "rule")
     return LintReport(
-        findings=new,
-        baselined=old,
-        suppressed=suppressed,
+        findings=sorted(kept, key=source_order),
+        suppressed=sorted(silenced, key=source_order),
         files_scanned=len(files),
         rules_run=tuple(rule.rule_id for rule in active),
     )
@@ -359,38 +330,9 @@ def render_text(report: LintReport) -> str:
     out: List[str] = [finding.render() for finding in report.findings]
     summary = (
         f"repro lint: {len(report.findings)} new finding(s), "
-        f"{len(report.baselined)} baselined, {len(report.suppressed)} suppressed "
-        f"across {report.files_scanned} file(s)"
+        f"{len(report.suppressed)} suppressed across {report.files_scanned} file(s)"
     )
     out.append(summary)
-    return "\n".join(out)
-
-
-def render_github(report: LintReport) -> str:
-    """GitHub Actions workflow annotations (``::error file=...``) per finding.
-
-    Columns are 1-based in the annotation syntax (``ast`` columns are
-    0-based); newlines/percents in messages use the `%0A`/`%25` escapes the
-    runner expects.
-    """
-
-    def escape(value: str) -> str:
-        return (
-            value.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
-        )
-
-    out: List[str] = []
-    for finding in report.findings:
-        out.append(
-            f"::error file={finding.path},line={finding.line},"
-            f"col={finding.col + 1},title={finding.rule}::"
-            f"{escape(finding.message)}"
-        )
-    out.append(
-        f"repro lint: {len(report.findings)} new finding(s), "
-        f"{len(report.baselined)} baselined, {len(report.suppressed)} suppressed "
-        f"across {report.files_scanned} file(s)"
-    )
     return "\n".join(out)
 
 
@@ -428,12 +370,9 @@ def build_arg_parser(parser: Optional[argparse.ArgumentParser] = None) -> argpar
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "github"),
+        choices=("text", "json"),
         default="text",
-        help=(
-            "output format: human text, canonical machine-readable json, or "
-            "github workflow annotations"
-        ),
+        help="output format: human text or canonical machine-readable json",
     )
     parser.add_argument(
         "--jobs",
@@ -444,22 +383,6 @@ def build_arg_parser(parser: Optional[argparse.ArgumentParser] = None) -> argpar
             "scan files with N worker processes (default: os.cpu_count(); "
             "the report is byte-identical for any value)"
         ),
-    )
-    parser.add_argument(
-        "--baseline",
-        choices=("on", "off", "regenerate"),
-        default="on",
-        help=(
-            "baseline handling: filter new findings through the committed "
-            "baseline (on, default), ignore it (off), or rewrite it from the "
-            "current findings (regenerate)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline-file",
-        default=None,
-        metavar="FILE",
-        help="baseline path (default: <root>/lint-baseline.json)",
     )
     parser.add_argument(
         "--root",
@@ -492,8 +415,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             root=Path(args.root),
             paths=args.paths or None,
             rules=args.rule,
-            baseline=args.baseline,
-            baseline_file=Path(args.baseline_file) if args.baseline_file else None,
             jobs=jobs,
         )
     except (LintUsageError, OSError) as exc:
@@ -501,8 +422,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         return 2
     if args.format == "json":
         print(canonical_json(report.to_payload()))
-    elif args.format == "github":
-        print(render_github(report))
     else:
         print(render_text(report))
     return 1 if report.failed else 0

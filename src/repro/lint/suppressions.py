@@ -85,14 +85,7 @@ def parse_suppressions(
     findings: List[Finding] = []
 
     def api_finding(lineno: int, message: str) -> Finding:
-        return Finding(
-            path=path,
-            line=lineno,
-            col=0,
-            rule=API_RULE_ID,
-            message=message,
-            text=lines[lineno - 1].strip() if lineno <= len(lines) else "",
-        )
+        return Finding(path=path, line=lineno, col=0, rule=API_RULE_ID, message=message)
 
     for index, comment in _comment_tokens(source):
         directive = _DIRECTIVE.search(comment)
@@ -188,7 +181,6 @@ def apply_suppressions(
                             f"{suppression.target_line} no longer violates it; "
                             "remove the directive"
                         ),
-                        text="",
                     )
                 )
     return kept, silenced, unused

@@ -125,6 +125,9 @@ MAX_BODY_BYTES = 64 * 1024
 #: Seconds a kept-alive HTTP connection may sit idle before the server closes
 #: it and its handler thread exits.
 IDLE_TIMEOUT_SECONDS = 60.0
+#: How often the accept loop checks for ``shutdown()``: the longest a
+#: shutdown waits.  New connections wake the loop at once whatever its value.
+_SHUTDOWN_POLL_SECONDS = 0.05
 
 #: Health states, in lifecycle order.
 STATE_STARTING = "starting"
@@ -704,10 +707,11 @@ class _ServiceHandler(socketserver.StreamRequestHandler):
     unless the client sends ``Connection: close`` or speaks HTTP/1.0
     without ``Connection: keep-alive`` (or ``protocol_version`` is
     ``HTTP/1.0``).  Every POST body is read exactly once, whatever the path,
-    and a request whose framing cannot be trusted — no ``Content-Length``
-    (411), a non-integer or negative one (400), one above
-    :data:`MAX_BODY_BYTES` (413) — is answered and its connection closed,
-    as is a malformed request (400, 414, 431, 501).  Each response is
+    as is a GET body that declares a ``Content-Length``.  A request whose
+    framing cannot be trusted — a POST without ``Content-Length`` (411), a
+    non-integer or negative one (400), one above :data:`MAX_BODY_BYTES`
+    (413) — is answered and its connection closed, as is a malformed
+    request (400, 414, 431, 501).  Each response is
     one preformatted write to the buffered ``wfile``, flushed once per
     request, so it leaves in one send.
     """
@@ -796,6 +800,8 @@ class _ServiceHandler(socketserver.StreamRequestHandler):
         self._reply(code, {"error": error}, close=True)
 
     def do_GET(self) -> None:  # noqa: N802
+        if self._content_length is not None and self._read_body() is None:
+            return
         service = self.server.service
         if self.path == "/healthz":
             code, payload = service.health()
@@ -871,7 +877,10 @@ def serve_http(
     """
     server = ServiceHTTPServer((host, port), service)
     thread = threading.Thread(
-        target=server.serve_forever, name="repro-service-http", daemon=True
+        target=server.serve_forever,
+        args=(_SHUTDOWN_POLL_SECONDS,),
+        name="repro-service-http",
+        daemon=True,
     )
     thread.start()
     return server

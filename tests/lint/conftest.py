@@ -3,7 +3,7 @@
 The rule tests lint throwaway source trees: ``lint_tree`` materialises a
 ``{relpath: source}`` mapping under a tmp root (so rule scopes like
 ``src/repro/dispatch/`` resolve exactly as they do against the real repo)
-and runs :func:`repro.lint.run_lint` over it with the baseline off.
+and runs :func:`repro.lint.run_lint` over it.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ def lint_tree(tmp_path):
     def run(
         files: Dict[str, str],
         rules: Optional[Sequence[str]] = None,
-        baseline: str = "off",
         paths: Optional[Sequence[str]] = None,
     ) -> LintReport:
         for relpath, source in files.items():
             target = tmp_path / relpath
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(source, encoding="utf-8")
-        return run_lint(root=tmp_path, paths=paths, rules=rules, baseline=baseline)
+        return run_lint(root=tmp_path, paths=paths, rules=rules)
 
     run.root = tmp_path
     return run

@@ -48,6 +48,12 @@ def test_det001_flags_wall_clock_reads(lint_tree):
     assert all("wall-clock read" in f.message for f in report.findings)
 
 
+def test_identical_violating_lines_give_one_finding_each(lint_tree):
+    source = "import time\n\ndef run():\n    a = time.time()\n    a = time.time()\n    return a\n"
+    report = lint_tree({ENGINE_PATH: source}, rules=["DET001"])
+    assert [(f.line, f.rule) for f in report.findings] == [(4, "DET001"), (5, "DET001")]
+
+
 def test_det001_allows_sanctioned_seams_and_out_of_scope_code(lint_tree):
     clocky = "import time\n\ndef now():\n    return time.time()\n"
     report = lint_tree(

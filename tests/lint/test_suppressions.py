@@ -44,6 +44,18 @@ def test_suppression_covers_only_listed_rules(lint_tree):
     assert [f.rule for f in report.suppressed] == ["DET001"]
 
 
+def test_suppression_does_not_cover_a_new_violation_in_the_same_file(lint_tree):
+    source = (
+        "import time\n\ndef run():\n"
+        "    a = time.time()  # repro-lint: disable=DET001 -- latency probe by design\n"
+        "    return a, time.perf_counter()\n"
+    )
+    report = lint_tree({ENGINE_PATH: source})
+    assert [(f.line, f.rule) for f in report.findings] == [(5, "DET001")]
+    assert "perf_counter" in report.findings[0].message
+    assert [(f.line, f.rule) for f in report.suppressed] == [(4, "DET001")]
+
+
 def test_multi_rule_suppression(lint_tree):
     source = (
         "import time\nimport numpy as np\n\ndef run(v):\n"

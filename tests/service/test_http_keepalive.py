@@ -285,6 +285,22 @@ class TestRequestParsing:
             assert status == 200 and stats["submitted"] == 1
             assert read_response(reader)[::2] == (200, {"status": "serving"})
 
+    def test_get_body_is_read_before_the_next_request(self, port):
+        get_with_body = b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}"
+        with raw_socket(port) as sock:
+            sock.sendall(get_with_body + HEALTHZ)
+            reader = sock.makefile("rb")
+            assert read_response(reader)[::2] == (200, {"status": "serving"})
+            assert read_response(reader)[::2] == (200, {"status": "serving"})
+
+    def test_get_with_bad_content_length_is_refused_and_closed(self, port):
+        with raw_socket(port) as sock:
+            response, body = exchange(
+                sock, b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n"
+            )
+            assert response.status == 400 and "Content-Length" in body["error"]
+            assert peer_closed(sock)
+
     def test_expect_100_continue_is_answered_before_the_body(self, port, payloads):
         body = canonical_json(payloads[0]).encode("utf-8")
         head = b"POST /orders HTTP/1.1\r\nContent-Length: %d\r\nExpect: 100-continue\r\n\r\n"
