@@ -52,11 +52,11 @@ from repro.dispatch.demand import order_arrays_from_events, orders_from_events  
 from repro.dispatch.entities import OrderArrays  # noqa: E402
 from repro.dispatch.scenarios import (  # noqa: E402
     build_scenario_bundle,
+    build_scenario_dataset,
     large_fleet_scenario,
     lifecycle_stress_scenario,
     reference_scenario,
 )
-from repro.utils.rng import seed_for  # noqa: E402
 
 #: Benchmarked (policy, matching) configurations of the reference scenario.
 CONFIGS = (("polar", "greedy"), ("polar", "optimal"), ("ls", "optimal"))
@@ -182,16 +182,8 @@ def _sparse_benchmark(repeats: int) -> Dict:
 def _order_stream_benchmark(repeats: int) -> Dict:
     """Batched vs per-object order-stream construction on the reference day."""
     scenario = reference_scenario()
-    from repro.data.dataset import EventDataset
-    from repro.data.presets import city_preset
-
-    dataset = EventDataset.from_city(
-        city_preset(scenario.city, scale=scenario.effective_scale),
-        num_days=scenario.num_days,
-        seed=scenario.dataset_seed,
-    )
-    events = dataset.test_events()
-    seed = seed_for(f"dispatch-scenario/{scenario.city}/orders", scenario.seed)
+    events = build_scenario_dataset(scenario).test_events()
+    seed = scenario.order_seed(0)
     object_seconds = _best_of(lambda: orders_from_events(events, day=0, seed=seed), repeats)
     array_seconds = _best_of(
         lambda: order_arrays_from_events(events, day=0, seed=seed), repeats

@@ -49,9 +49,8 @@ from repro.service.loadgen import LoadPhase  # noqa: E402
 #: Offered load of the pinned measurement (orders/second).
 RATE = 250.0
 
-#: Micro-batch cap and idle-tick cadence of the benchmarked service.
+#: Micro-batch cap of the benchmarked service.
 MAX_BATCH = 256
-CADENCE_SECONDS = 0.05
 
 
 def run_benchmark(rate: float = RATE) -> Dict:
@@ -65,7 +64,6 @@ def run_benchmark(rate: float = RATE) -> Dict:
             [LoadPhase(rate=rate, seconds=3600.0)],
             ingest_log=log_path,
             max_batch=MAX_BATCH,
-            cadence_seconds=CADENCE_SECONDS,
         )
     service = report["service"]
     loadgen = report["loadgen"]

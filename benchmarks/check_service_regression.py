@@ -7,7 +7,7 @@ Compares a freshly emitted ``BENCH_service.json`` (from
 * **Correctness** — the ingest-log replay must reproduce the live run's
   metrics bit-for-bit (``replay_equal``), and the metric values must match
   the baseline within ``metrics_rtol``: they are deterministic functions of
-  the scenario seed — independent of offered rate, batching cadence and
+  the scenario seed — independent of offered rate, micro-batching and
   host speed — so any drift means the engine or service semantics changed.
 * **Throughput** — sustained admitted orders/second must stay above
   ``min_orders_per_sec``.  The floor sits far below the offered rate so CI

@@ -37,7 +37,7 @@ def main() -> None:
     )
     phases = [
         LoadPhase(rate=150.0, seconds=2.0),  # steady load
-        LoadPhase(rate=0.0, seconds=0.5),  # idle gap: adaptive cadence parks
+        LoadPhase(rate=0.0, seconds=0.5),  # idle gap: the match loop blocks until the next arrival
         LoadPhase(rate=400.0, seconds=2.0),  # burst: micro-batching kicks in
     ]
     print(f"Serving {scenario.label} in-process and offering its order stream...")

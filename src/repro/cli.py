@@ -680,15 +680,6 @@ def _add_service_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help="micro-batch cap of the match loop (default: 256)",
     )
     parser.add_argument(
-        "--cadence",
-        type=float,
-        default=0.05,
-        help=(
-            "idle-tick timeout of the match loop in seconds; arrivals are "
-            "matched immediately regardless (default: 0.05)"
-        ),
-    )
-    parser.add_argument(
         "--ingest-log",
         default=None,
         metavar="FILE",
@@ -1141,7 +1132,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             service = DispatchService.recover(
                 args.ingest_log,
                 max_batch=args.max_batch,
-                cadence_seconds=args.cadence,
                 max_pending=args.max_pending,
                 fsync_ingest=args.fsync_ingest,
             )
@@ -1151,7 +1141,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             config = ServiceConfig(
                 scenario=scenario,
                 max_batch=args.max_batch,
-                cadence_seconds=args.cadence,
                 ingest_log=args.ingest_log,
                 max_pending=args.max_pending,
                 fsync_ingest=args.fsync_ingest,
@@ -1232,7 +1221,6 @@ def _command_loadgen(args: argparse.Namespace) -> int:
             max_orders=args.max_orders,
             ingest_log=args.ingest_log,
             max_batch=args.max_batch,
-            cadence_seconds=args.cadence,
             url=args.url,
             check_replay=not args.no_replay,
             max_pending=args.max_pending,

@@ -925,7 +925,7 @@ class DispatchSession:
       repositioning RNG.  Slots that never receive an order are never
       entered and draw nothing.
 
-    Wall-clock concerns — micro-batch caps, adaptive cadence, latency —
+    Wall-clock concerns — micro-batch caps, idle waits, latency —
     live entirely in the service layer; they decide *when* ``admit`` and
     ``advance`` are called, never what they compute.
     """

@@ -10,11 +10,16 @@ cache key.
 Determinism
 -----------
 Every random stream is derived from ``scenario.seed`` through
-:func:`repro.utils.rng.seed_for` with a fixed label per purpose (dataset,
-order jitter, driver spawn, simulator), so adding scenarios to a suite never
-perturbs the streams of the others.  The simulation itself consumes its RNG
-in the documented draw order of :mod:`repro.dispatch.engine`, which is why
-cached scenario results replay byte-stably.
+:func:`repro.utils.rng.seed_for` with a fixed label per purpose, and every
+label lives in this module: :attr:`DispatchScenario.dataset_seed`,
+:meth:`~DispatchScenario.order_seed`, :attr:`~DispatchScenario.fleet_seed`
+and :attr:`~DispatchScenario.sim_seed`.  Adding scenarios to a suite never
+perturbs the streams of the others.  :meth:`ScenarioBundle.engine` is the one
+recipe that turns a scenario into an engine; ``bundle.run``, the live
+service, crash recovery, the chaos oracle and the fuzzer's scenario worlds
+all build their runs from it and from ``sim_seed``.  The simulation consumes
+its RNG in the documented draw order of :mod:`repro.dispatch.engine`, which
+is why cached scenario results replay byte-stably.
 
 Scenario families
 -----------------
@@ -41,6 +46,7 @@ from repro.core.interfaces import evaluation_targets
 from repro.data.dataset import EventDataset
 from repro.data.presets import CITY_PRESETS, city_preset
 from repro.dispatch.demand import PredictedDemandProvider, order_arrays_from_events
+from repro.dispatch.engine import VectorizedAssignmentEngine
 from repro.dispatch.entities import DAY_MINUTES, DispatchMetrics, FleetArrays, OrderArrays
 from repro.dispatch.ls import LSDispatcher
 from repro.dispatch.polar import POLARDispatcher
@@ -243,6 +249,28 @@ class DispatchScenario:
         return seed_for(f"dispatch-scenario/{self.city}/dataset", self.seed)
 
     @property
+    def fleet_seed(self) -> int:
+        """Seed of the driver-spawn stream (see :meth:`ScenarioBundle.spawn_fleet`)."""
+        return seed_for(f"dispatch-scenario/{self.city}/fleet", self.seed)
+
+    @property
+    def sim_seed(self) -> int:
+        """Seed of the simulation stream every run of this scenario draws from."""
+        return seed_for(f"dispatch-scenario/{self.city}/{self.policy}/sim", self.seed)
+
+    def order_seed(self, day: int) -> int:
+        """Seed of test day ``day``'s order jitter stream.
+
+        Day 0 keeps the historical label so pre-lifecycle scenario results
+        replay unchanged; later days hang off their own labels, so extending
+        a scenario to more days never perturbs the earlier days' draws.
+        """
+        label = f"dispatch-scenario/{self.city}/orders"
+        if day > 0:
+            label = f"{label}/day{day}"
+        return seed_for(label, self.seed)
+
+    @property
     def guidance_signature(self) -> Tuple:
         """Key identifying the demand-guidance provider this scenario needs.
 
@@ -337,24 +365,23 @@ class ScenarioBundle:
     suite runner shares bundles between engines and the benchmark replays the
     same bundle under both engines.
 
-    ``orders`` is the first test day's stream (the single-day view every
-    pre-lifecycle caller used); ``orders_per_day`` holds one stream per
-    replayed test day, and ``minutes_per_slot`` is the dataset's exact slot
-    length, passed to the simulator so offset slot windows are sized
-    correctly instead of inferred.
+    ``orders_per_day`` holds one stream per replayed test day (``orders`` is
+    day 0's), and ``minutes_per_slot`` is the dataset's exact slot length,
+    passed to the engine so offset slot windows are sized correctly instead
+    of inferred.
     """
 
     scenario: DispatchScenario
-    orders: OrderArrays
+    orders_per_day: Tuple[OrderArrays, ...]
     travel: TravelModel
     provider: Optional[PredictedDemandProvider]
     slots: Tuple[int, ...]
-    orders_per_day: Tuple[OrderArrays, ...] = ()
-    minutes_per_slot: Optional[float] = None
+    minutes_per_slot: float
 
-    def __post_init__(self) -> None:
-        if not self.orders_per_day:
-            self.orders_per_day = (self.orders,)
+    @property
+    def orders(self) -> OrderArrays:
+        """The first test day's stream (the single-day view)."""
+        return self.orders_per_day[0]
 
     @property
     def total_order_count(self) -> int:
@@ -370,9 +397,7 @@ class ScenarioBundle:
         scenario's ``fleet_profile`` assigns shift windows deterministically
         by driver index, consuming no RNG draws.
         """
-        rng = default_rng(
-            seed_for(f"dispatch-scenario/{self.scenario.city}/fleet", self.scenario.seed)
-        )
+        rng = default_rng(self.scenario.fleet_seed)
         initial = None
         if self.provider is not None and self.provider.has_slot(0, self.slots[0]):
             initial = self.provider.hgrid_demand(0, self.slots[0])
@@ -385,49 +410,51 @@ class ScenarioBundle:
             fleet.online_until = online_until
         return fleet
 
-    def simulator(
-        self, engine: str = "vector", sparse: str = "auto"
-    ) -> TaskAssignmentSimulator:
-        """A simulator for this bundle using the requested engine.
+    def engine(self, sparse: str = "auto") -> VectorizedAssignmentEngine:
+        """The scenario's engine: the one recipe every run of it is built from.
 
-        ``sparse`` is the vectorized engine's oracle seam: ``"auto"`` (the
-        default, what every user-facing run uses) lets the engine pick dense
-        or sparse matching per batch; benchmarks and tests force
-        ``"always"``/``"never"`` to compare the pipelines.  It is not part of
-        the scenario or its cache key.
+        ``sparse`` is the engine's oracle seam: ``"auto"`` (the default, what
+        every user-facing run uses) picks dense or sparse matching per batch;
+        benchmarks and tests force ``"always"``/``"never"`` to compare the
+        pipelines.  It is not part of the scenario or its cache key.
         """
-        return TaskAssignmentSimulator(
+        return VectorizedAssignmentEngine(
             policy=self.scenario.make_policy(),
             travel=self.travel,
             demand=self.provider,
             batch_minutes=self.scenario.batch_minutes,
-            seed=seed_for(
-                f"dispatch-scenario/{self.scenario.city}/{self.scenario.policy}/sim",
-                self.scenario.seed,
-            ),
-            engine=engine,
             sparse=sparse,
             minutes_per_slot=self.minutes_per_slot,
         )
 
     def run(self, engine: str = "vector", sparse: str = "auto") -> DispatchMetrics:
-        """Spawn a fresh fleet and simulate once (all replayed days)."""
+        """Spawn a fresh fleet and simulate once (all replayed days).
+
+        ``engine="scalar"`` replays the same inputs and seed through the
+        per-object reference oracle.
+        """
+        if engine == "vector":
+            return self.engine(sparse).run(
+                list(self.orders_per_day),
+                self.spawn_fleet(),
+                default_rng(self.scenario.sim_seed),
+                slots=self.slots,
+            )
+        if engine != "scalar":
+            raise ValueError("engine must be 'vector' or 'scalar'")
         fleet = self.spawn_fleet()
-        multi_day = len(self.orders_per_day) > 1
-        if engine == "scalar":
-            # The scalar oracle consumes entity objects.
-            drivers = [
-                _driver_from_arrays(fleet, i) for i in range(len(fleet))
-            ]
-            if multi_day:
-                orders = [day_orders.to_orders() for day_orders in self.orders_per_day]
-            else:
-                orders = self.orders.to_orders()
-            return self.simulator(engine).run(orders, drivers, day=0, slots=self.slots)
-        orders = list(self.orders_per_day) if multi_day else self.orders
-        return self.simulator(engine, sparse=sparse).run(
-            orders, fleet, day=0, slots=self.slots
+        oracle = TaskAssignmentSimulator(
+            policy=self.scenario.make_policy(),
+            travel=self.travel,
+            demand=self.provider,
+            batch_minutes=self.scenario.batch_minutes,
+            seed=self.scenario.sim_seed,
+            engine="scalar",
+            minutes_per_slot=self.minutes_per_slot,
         )
+        drivers = [_driver_from_arrays(fleet, i) for i in range(len(fleet))]
+        orders = [day_orders.to_orders() for day_orders in self.orders_per_day]
+        return oracle.run(orders, drivers, slots=self.slots)
 
 
 def _driver_from_arrays(fleet: FleetArrays, index: int):
@@ -481,25 +508,16 @@ def build_scenario_bundle(
         )
     travel = TravelModel.for_city(dataset.city)
     test_events = dataset.test_events()
-    # One order stream per replayed test day.  Day 0 keeps the historical
-    # stream label so pre-lifecycle scenario results replay unchanged; later
-    # days hang off their own structural labels, so extending a scenario to
-    # more days never perturbs the earlier days' draws.
-    orders_per_day = []
-    for day in range(scenario.test_days):
-        label = f"dispatch-scenario/{scenario.city}/orders"
-        if day > 0:
-            label = f"{label}/day{day}"
-        orders_per_day.append(
-            order_arrays_from_events(
-                test_events,
-                day=day,
-                slots=scenario.slots,
-                max_wait_minutes=scenario.max_wait_minutes,
-                seed=seed_for(label, scenario.seed),
-            )
+    orders_per_day = tuple(
+        order_arrays_from_events(
+            test_events,
+            day=day,
+            slots=scenario.slots,
+            max_wait_minutes=scenario.max_wait_minutes,
+            seed=scenario.order_seed(day),
         )
-    orders = orders_per_day[0]
+        for day in range(scenario.test_days)
+    )
     if scenario.slots is not None:
         slots = tuple(int(s) for s in scenario.slots)
     else:
@@ -517,11 +535,10 @@ def build_scenario_bundle(
                 provider_cache[key] = provider
     return ScenarioBundle(
         scenario=scenario,
-        orders=orders,
+        orders_per_day=orders_per_day,
         travel=travel,
         provider=provider,
         slots=slots,
-        orders_per_day=tuple(orders_per_day),
         minutes_per_slot=float(dataset.events.slots.minutes_per_slot),
     )
 
@@ -713,33 +730,6 @@ def lifecycle_stress_scenario(
         matching=matching,
         name=f"stress-lifecycle2000x2day-{policy}-{matching}",
     )
-
-
-def predicted_demand_scenarios(
-    base: DispatchScenario,
-    models: Sequence[str] = ("historical_average", "mlp", "deepst", "dmvst_net"),
-    surge: float = 2.0,
-) -> List[DispatchScenario]:
-    """Predictor-driven surge variants of ``base``: one per demand model.
-
-    The predictor-guided counterpart of :func:`stress_scenarios`: each
-    variant replays the surge day with the dispatcher repositioning on the
-    named model's *predicted* demand instead of the oracle's realised
-    demand, so a whole suite run compares how prediction quality translates
-    into fleet-scale dispatch metrics (Figures 6-8's "predicted vs real
-    order data" axis).
-    """
-    if surge <= 0:
-        raise ValueError("surge must be positive")
-    return [
-        replace(
-            base,
-            name=f"{base.label}/surge-{model}",
-            demand_scale=base.demand_scale * surge,
-            guidance=model,
-        )
-        for model in models
-    ]
 
 
 def large_fleet_scenario(

@@ -87,16 +87,6 @@ class TravelModel:
             return np.sqrt(dx * dx + dy * dy)
         return np.abs(dx) + np.abs(dy)
 
-    def pairwise_minutes(
-        self,
-        origin_x: np.ndarray,
-        origin_y: np.ndarray,
-        dest_x: np.ndarray,
-        dest_y: np.ndarray,
-    ) -> np.ndarray:
-        """Batched candidate travel times (minutes) as an ``(origins, destinations)`` matrix."""
-        return self.minutes(self.pairwise_km(origin_x, origin_y, dest_x, dest_y))
-
     def travel_minutes(
         self,
         x0: np.ndarray | float,

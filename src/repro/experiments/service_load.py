@@ -35,14 +35,6 @@ from repro.service.loadgen import (
 from repro.service.server import DispatchService, ServiceConfig
 
 
-def metrics_payload_equal(
-    live: Dict[str, Any], replay: Dict[str, Any]
-) -> bool:
-    """Exact (bit-level) equality of two DispatchMetrics payloads."""
-    keys = set(live) | set(replay)
-    return all(live.get(key) == replay.get(key) for key in keys)
-
-
 def run_service_load(
     scenario: DispatchScenario,
     phases: Sequence[LoadPhase],
@@ -50,7 +42,6 @@ def run_service_load(
     max_orders: Optional[int] = None,
     ingest_log: Optional[str] = None,
     max_batch: int = 256,
-    cadence_seconds: float = 0.05,
     url: Optional[str] = None,
     check_replay: bool = True,
     max_pending: Optional[int] = None,
@@ -79,7 +70,6 @@ def run_service_load(
         config = ServiceConfig(
             scenario=scenario,
             max_batch=max_batch,
-            cadence_seconds=cadence_seconds,
             ingest_log=ingest_log,
             max_pending=max_pending,
         )
@@ -116,8 +106,6 @@ def run_service_load(
         report["replay"] = {
             "order_count": replay.order_count,
             "metrics": replay_metrics,
-            "replay_equal": metrics_payload_equal(
-                service_report["metrics"], replay_metrics
-            ),
+            "replay_equal": service_report["metrics"] == replay_metrics,
         }
     return report

@@ -886,15 +886,9 @@ def world_from_bundle(bundle, label: Optional[str] = None) -> FuzzWorld:
         speed_kmh=travel.speed_kmh,
         metric=travel.metric,
         batch_minutes=float(scenario.batch_minutes),
-        minutes_per_slot=(
-            None
-            if bundle.minutes_per_slot is None
-            else float(bundle.minutes_per_slot)
-        ),
+        minutes_per_slot=float(bundle.minutes_per_slot),
         slots=tuple(int(s) for s in bundle.slots),
-        sim_seed=seed_for(
-            f"dispatch-scenario/{scenario.city}/{scenario.policy}/sim", scenario.seed
-        ),
+        sim_seed=scenario.sim_seed,
         drivers=drivers,
         orders_per_day=orders_per_day,
         demand=demand,

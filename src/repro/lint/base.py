@@ -32,10 +32,6 @@ class ModuleContext:
 
     path: str
     """Repo-relative posix path."""
-    source: str
-    """Raw file contents."""
-    lines: Tuple[str, ...]
-    """Source split into lines."""
 
 
 class ImportMap:

@@ -215,7 +215,7 @@ def _scan_file(
                 )
             ],
         )
-    context = ModuleContext(path=relpath, source=source, lines=tuple(lines))
+    context = ModuleContext(path=relpath)
     findings: List[Finding] = []
     for rule_id in module_rule_ids:
         rule = RULES_BY_ID[rule_id]

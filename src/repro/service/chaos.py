@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.dispatch.engine import VectorizedAssignmentEngine
 from repro.dispatch.entities import DispatchMetrics
 from repro.dispatch.scenarios import (
     DispatchScenario,
@@ -125,27 +124,14 @@ class ChaosReport:
 
 
 def _offline_metrics(
-    scenario: DispatchScenario,
-    bundle: ScenarioBundle,
-    records: List[Dict[str, Any]],
+    bundle: ScenarioBundle, records: List[Dict[str, Any]]
 ) -> DispatchMetrics:
     """The uninterrupted-run oracle: one offline ``engine.run`` call."""
-    if not records:
-        return DispatchMetrics(0, 0, 0.0, 0.0, 0.0, 0)
-    engine = VectorizedAssignmentEngine(
-        policy=scenario.make_policy(),
-        travel=bundle.travel,
-        demand=bundle.provider,
-        batch_minutes=scenario.batch_minutes,
-        minutes_per_slot=bundle.minutes_per_slot,
+    return bundle.engine().run(
+        orders_from_records(records),
+        bundle.spawn_fleet(),
+        default_rng(bundle.scenario.sim_seed),
     )
-    rng = default_rng(
-        seed_for(
-            f"dispatch-scenario/{scenario.city}/{scenario.policy}/sim",
-            scenario.seed,
-        )
-    )
-    return engine.run(orders_from_records(records), bundle.spawn_fleet(), rng)
 
 
 def _metrics_payload(metrics: Optional[DispatchMetrics]) -> Optional[Dict[str, Any]]:
@@ -162,7 +148,6 @@ def _config(
     return ServiceConfig(
         scenario=scenario,
         max_batch=max_batch,
-        cadence_seconds=0.01,
         ingest_log=str(log_path),
         max_pending=max_pending,
         fault_plan=plan,
@@ -212,9 +197,7 @@ def _run_crash_sample(
         checks["drain_raised"] = False
     except ServiceFailedError:
         checks["drain_raised"] = True
-    recovered = DispatchService.recover(
-        log_path, bundle=bundle, max_batch=max_batch, cadence_seconds=0.01
-    )
+    recovered = DispatchService.recover(log_path, bundle=bundle, max_batch=max_batch)
     wal_prefix = crash_batch * max_batch
     checks["wal_is_batch_prefix"] = recovered.recovered_orders == min(
         wal_prefix, len(payloads)
@@ -287,7 +270,7 @@ def _run_backpressure_sample(
     report = service.drain()
     replay = replay_ingest_log(log_path, bundle=bundle)
     records = [dict(payloads[i], order_id=i) for i in range(admitted)]
-    expected = _offline_metrics(scenario, bundle, records)
+    expected = _offline_metrics(bundle, records)
     checks = {
         "shed_exactly_overflow": admitted == min(max_pending, len(payloads))
         and shed == len(payloads) - admitted,
@@ -451,7 +434,7 @@ def run_campaign(
         bundle = build_scenario_bundle(scenario)
     payloads = order_payloads(bundle, max_orders=stream_orders)
     full_records = [dict(p, order_id=i) for i, p in enumerate(payloads)]
-    expected = _offline_metrics(scenario, bundle, full_records)
+    expected = _offline_metrics(bundle, full_records)
     num_batches = max(1, -(-len(payloads) // max_batch))
     ok = 0
     failures: List[ChaosSample] = []

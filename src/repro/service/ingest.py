@@ -38,7 +38,7 @@ from repro.dispatch.scenarios import (
 )
 from repro.service.faults import FaultController, InjectedCrash
 from repro.utils.cache import canonical_json
-from repro.utils.rng import default_rng, seed_for
+from repro.utils.rng import default_rng
 
 #: Bump when the log layout changes so stale logs fail loudly on replay.
 INGEST_SCHEMA = 2
@@ -69,9 +69,7 @@ def service_header(
         "schema": INGEST_SCHEMA,
         "kind": "repro-service-ingest",
         "scenario": scenario.cache_payload(),
-        "sim_seed": seed_for(
-            f"dispatch-scenario/{scenario.city}/{scenario.policy}/sim", scenario.seed
-        ),
+        "sim_seed": scenario.sim_seed,
         "minutes_per_slot": float(minutes_per_slot),
         "batch_minutes": float(batch_minutes),
         "unserved_penalty_km": float(unserved_penalty_km),
@@ -298,14 +296,12 @@ def replay_ingest_log(
         unserved_penalty_km=float(header["unserved_penalty_km"]),
         minutes_per_slot=float(header["minutes_per_slot"]),
     )
-    fleet = bundle.spawn_fleet()
-    rng = default_rng(int(header["sim_seed"]))
-    if records:
-        metrics = engine.run(
-            orders_from_records(records), fleet, rng, day=int(header.get("day", 0))
-        )
-    else:
-        metrics = DispatchMetrics(0, 0, 0.0, 0.0, 0.0, 0)
+    metrics = engine.run(
+        orders_from_records(records),
+        bundle.spawn_fleet(),
+        default_rng(int(header["sim_seed"])),
+        day=int(header.get("day", 0)),
+    )
     return ReplayResult(
         metrics=metrics,
         order_count=len(records),

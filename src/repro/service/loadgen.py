@@ -13,7 +13,7 @@ Pacing is open-loop: order ``k`` of a phase targets wall time
 so a slow service accumulates backlog instead of silently throttling the
 offered load — exactly what the soak's no-unbounded-growth assertion
 watches.  A phase with ``rate`` 0 is an idle gap (nothing sent); the
-service's adaptive cadence must match the first post-gap arrival
+service's idle match loop must match the first post-gap arrival
 immediately.
 
 Long streams come from day-tiling (:func:`order_payloads`): the day-0
@@ -47,7 +47,7 @@ class ServiceUnavailableError(ConnectionError):
     without special-casing.
     """
 
-#: Slots per tiled day for the default 30-minute slot length.
+#: Minutes in one tiled day.
 DAY_MINUTES = 1440.0
 
 
@@ -102,7 +102,7 @@ def order_payloads(
     """
     if repeat_days < 1:
         raise ValueError("repeat_days must be at least 1")
-    mps = float(bundle.minutes_per_slot) if bundle.minutes_per_slot else 30.0
+    mps = bundle.minutes_per_slot
     slots_per_day = int(round(DAY_MINUTES / mps))
     day_minutes = slots_per_day * mps
     orders = bundle.orders

@@ -10,8 +10,9 @@ handlers, the in-process client) and the single-threaded match loop:
 * :class:`AdmissionScheduler` assigns admission ids, enforces the global
   monotone-arrival contract of
   :class:`~repro.dispatch.engine.DispatchSession`, and stages accepted
-  orders for the match loop, which drains at most ``max_batch`` per tick
-  (the micro-batch cap) in strict admission order.
+  orders for the match loop, whose :meth:`~AdmissionScheduler.take` blocks
+  until orders are staged and pops at most ``max_batch`` of them (the
+  micro-batch cap) in strict admission order.
 
 Everything here is wall-clock-free from the simulation's point of view:
 validation and staging decide *whether* and *in which order* orders reach
@@ -44,6 +45,9 @@ ORDER_FIELDS = (
 #: Fields that must lie inside the unit square (city coordinates).
 _COORDINATE_FIELDS = ("x", "y", "dropoff_x", "dropoff_y")
 
+#: Seconds a shed client is told to wait before retrying (``Retry-After``).
+RETRY_AFTER_SECONDS = 0.1
+
 
 class AdmissionError(ValueError):
     """A submitted order was rejected; the message is safe to show clients."""
@@ -58,7 +62,7 @@ class BackpressureError(RuntimeError):
     accounting identity ``shed + admitted == offered`` stays checkable.
     """
 
-    def __init__(self, message: str, retry_after: float = 0.1) -> None:
+    def __init__(self, message: str, retry_after: float = RETRY_AFTER_SECONDS) -> None:
         super().__init__(message)
         self.retry_after = float(retry_after)
 
@@ -116,8 +120,8 @@ class AdmissionScheduler:
     accepted orders receive sequential admission ids (which equal their row
     in the offline replay's arrival-sorted stream) and join the staged
     deque.  The match loop calls :meth:`take`, which pops at most
-    ``max_batch`` orders per tick — a burst larger than the cap is split
-    across ticks without ever reordering admission order.
+    ``max_batch`` orders per call — a burst larger than the cap is split
+    across batches without ever reordering admission order.
 
     **Backpressure.**  With ``max_pending`` set, admission is bounded: a
     well-formed order is *shed* (:class:`BackpressureError`, counted in
@@ -142,7 +146,6 @@ class AdmissionScheduler:
         minutes_per_slot: float = 30.0,
         max_batch: int = 256,
         max_pending: Optional[int] = None,
-        retry_after: float = 0.1,
         start_id: int = 0,
         start_watermark: float = float("-inf"),
         start_slot: Optional[int] = None,
@@ -158,7 +161,6 @@ class AdmissionScheduler:
         self.minutes_per_slot = float(minutes_per_slot)
         self.max_batch = int(max_batch)
         self.max_pending = None if max_pending is None else int(max_pending)
-        self.retry_after = float(retry_after)
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._staged: Deque[Dict[str, float]] = deque()
@@ -226,8 +228,7 @@ class AdmissionScheduler:
                     self._shedding = True
                     raise BackpressureError(
                         f"pending pool is full ({pending} of {self.max_pending} "
-                        f"orders in flight); retry after {self.retry_after:g} s",
-                        retry_after=self.retry_after,
+                        f"orders in flight); retry after {RETRY_AFTER_SECONDS:g} s"
                     )
             if order["arrival_minute"] < self._watermark:
                 self.rejected += 1
@@ -262,19 +263,19 @@ class AdmissionScheduler:
         with self._lock:
             self._resolved = int(resolved)
 
-    def take(self, timeout: Optional[float] = None) -> Optional[List[Dict[str, float]]]:
+    def take(self) -> Optional[List[Dict[str, float]]]:
         """Pop up to ``max_batch`` staged orders in admission order.
 
-        Blocks up to ``timeout`` seconds while empty and open.  Returns
-        ``[]`` on an idle timeout (the match loop's adaptive-cadence tick)
-        and ``None`` once the scheduler is closed *and* fully drained — the
-        loop's signal to finish the session.
+        Blocks while nothing is staged and admission is open: every
+        :meth:`submit` and :meth:`close` wakes it.  Returns ``None`` once the
+        scheduler is closed *and* fully drained — the loop's signal to
+        finish the session.
         """
         with self._ready:
-            if not self._staged and not self._closed:
-                self._ready.wait(timeout)
+            while not self._staged and not self._closed:
+                self._ready.wait()
             if not self._staged:
-                return None if self._closed else []
+                return None
             count = min(len(self._staged), self.max_batch)
             return [self._staged.popleft() for _ in range(count)]
 

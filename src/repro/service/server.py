@@ -10,12 +10,11 @@
   stages them, shedding (:class:`~repro.service.scheduler.BackpressureError`,
   HTTP 429 + ``Retry-After``) once the bounded pending pool is full;
 * a single *supervised* match-loop thread drains the stage in micro-batches
-  (at most ``max_batch`` per tick — batch when busy), feeds them to a
+  (at most ``max_batch`` at a time — batch when busy), feeds them to a
   :class:`~repro.dispatch.engine.DispatchSession`, and fires every batch
-  boundary the new watermark unlocked.  When idle the loop parks on the
-  scheduler's condition variable with a ``cadence_seconds`` timeout, so the
-  next arrival is matched immediately instead of waiting out a poll
-  interval (adaptive cadence);
+  boundary the new watermark unlocked.  When idle the loop blocks in
+  :meth:`~repro.service.scheduler.AdmissionScheduler.take`, whose condition
+  variable every arrival wakes, so the next order is matched at once;
 * :meth:`DispatchService.drain` closes admission and waits for the loop,
   which drains the stage and the session and builds the final
   :class:`ServiceReport` — exactly once.
@@ -78,11 +77,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.dispatch.engine import (
-    DispatchSession,
-    SessionEvent,
-    VectorizedAssignmentEngine,
-)
+from repro.dispatch.engine import DispatchSession, SessionEvent
 from repro.dispatch.entities import DispatchMetrics
 from repro.dispatch.scenarios import (
     DispatchScenario,
@@ -160,7 +155,6 @@ class ServiceConfig:
 
     scenario: DispatchScenario
     max_batch: int = 256
-    cadence_seconds: float = 0.05
     ingest_log: Optional[str] = None
     day: int = 0
     #: Bounded admission: cap on the pending pool (staged + in-flight +
@@ -177,8 +171,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.cadence_seconds <= 0:
-            raise ValueError("cadence_seconds must be positive")
         if self.max_pending is not None and self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
 
@@ -295,11 +287,6 @@ class DispatchService:
         return self._bundle
 
     @property
-    def minutes_per_slot(self) -> float:
-        mps = self.bundle.minutes_per_slot
-        return float(mps) if mps is not None else 30.0
-
-    @property
     def state(self) -> str:
         """Health state, derived from what the loop and scheduler publish."""
         if self._failure is not None:
@@ -345,7 +332,6 @@ class DispatchService:
         log_path: Union[str, Path],
         bundle: Optional[ScenarioBundle] = None,
         max_batch: int = 256,
-        cadence_seconds: float = 0.05,
         max_pending: Optional[int] = None,
         fsync_ingest: bool = False,
         fault_plan: Optional[FaultPlan] = None,
@@ -357,7 +343,7 @@ class DispatchService:
         stream, plus at most one torn final record if the crash landed
         mid-append (:func:`~repro.service.ingest.read_ingest_log` discards
         it).  The scenario, engine parameters and simulation seed come from
-        the log header; runtime knobs (batching cadence, backpressure cap,
+        the log header; runtime knobs (micro-batch cap, backpressure cap,
         durability, fault plan) are the caller's, since they describe the
         *new* process.  Returns a serving service already appending to the
         same log.
@@ -381,7 +367,6 @@ class DispatchService:
         config = ServiceConfig(
             scenario=scenario_from_payload(header["scenario"]),
             max_batch=max_batch,
-            cadence_seconds=cadence_seconds,
             ingest_log=str(log_path),
             day=int(header.get("day", 0)),
             max_pending=max_pending,
@@ -408,17 +393,11 @@ class DispatchService:
         elif self._bundle.scenario.cache_payload() != scenario.cache_payload():
             raise ValueError("bundle does not match the service scenario")
         bundle = self._bundle
-        engine = VectorizedAssignmentEngine(
-            policy=scenario.make_policy(),
-            travel=bundle.travel,
-            demand=bundle.provider,
-            batch_minutes=scenario.batch_minutes,
-            minutes_per_slot=bundle.minutes_per_slot,
-        )
+        engine = bundle.engine()
         if contents is None:
             header = service_header(
                 scenario,
-                minutes_per_slot=self.minutes_per_slot,
+                minutes_per_slot=bundle.minutes_per_slot,
                 batch_minutes=engine.batch_minutes,
                 unserved_penalty_km=engine.unserved_penalty_km,
                 day=self.config.day,
@@ -433,10 +412,9 @@ class DispatchService:
             day=self.config.day,
         )
         self._scheduler = AdmissionScheduler(
-            minutes_per_slot=self.minutes_per_slot,
+            minutes_per_slot=bundle.minutes_per_slot,
             max_batch=self.config.max_batch,
             max_pending=self.config.max_pending,
-            retry_after=max(0.05, 2.0 * self.config.cadence_seconds),
             start_id=len(records),
             start_watermark=(
                 float(records[-1]["arrival_minute"]) if records else float("-inf")
@@ -555,11 +533,9 @@ class DispatchService:
         try:
             self._faults.wait_start()
             while True:
-                batch = scheduler.take(timeout=self.config.cadence_seconds)
+                batch = scheduler.take()
                 if batch is None:
                     break  # closed and fully drained
-                if not batch:
-                    continue  # idle tick; the next arrival wakes us immediately
                 index = self._batches
                 self._process(batch, index)
                 self._faults.after_batch(index)

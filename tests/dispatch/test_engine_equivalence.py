@@ -301,13 +301,6 @@ class TestPairwiseTravel:
             for j in range(7):
                 assert matrix[i, j] == TRAVEL.distance_km(dx[j], dy[j], ox[i], oy[i])
 
-    def test_pairwise_minutes(self):
-        rng = np.random.default_rng(1)
-        ox, oy = rng.random(3), rng.random(3)
-        dx, dy = rng.random(4), rng.random(4)
-        minutes = TRAVEL.pairwise_minutes(ox, oy, dx, dy)
-        assert np.array_equal(minutes, TRAVEL.minutes(TRAVEL.pairwise_km(ox, oy, dx, dy)))
-
     def test_euclidean_metric(self):
         travel = TravelModel(width_km=5.0, height_km=5.0, metric="euclidean")
         matrix = travel.pairwise_km(

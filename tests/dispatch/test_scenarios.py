@@ -10,7 +10,6 @@ from repro.dispatch.scenarios import (
     build_scenario_bundle,
     lifecycle_scenarios,
     lifecycle_stress_scenario,
-    predicted_demand_scenarios,
     reference_scenario,
     scenario_grid,
     shift_windows,
@@ -101,17 +100,6 @@ class TestScenarioGrid:
         assert large_fleet.fleet_size == base.fleet_size * 2
         assert all("xian_like" in s.label for s in (surge, small_fleet, large_fleet))
 
-    def test_predicted_demand_variants(self):
-        base = small_scenario()
-        variants = predicted_demand_scenarios(
-            base, models=("historical_average", "mlp")
-        )
-        assert [v.guidance for v in variants] == ["historical_average", "mlp"]
-        assert all(v.demand_scale == pytest.approx(2.0) for v in variants)
-        assert variants[0].label.endswith("surge-historical_average")
-        with pytest.raises(ValueError):
-            predicted_demand_scenarios(base, surge=0.0)
-
 
 class TestScenarioRuns:
     def test_bundle_engines_agree(self):
@@ -173,6 +161,26 @@ class TestScenarioRuns:
         predicted = small_scenario(guidance="historical_average").cache_payload()
         assert oracle != predicted
         assert predicted["guidance"] == "historical_average"
+
+    def test_stream_seeds_are_pinned(self):
+        """The seed properties keep the historical labels, so cached results,
+        WAL headers and reports stay byte-stable."""
+        scenario = small_scenario(seed=9)
+        assert scenario.dataset_seed == 703399890
+        assert scenario.fleet_seed == 1472080941
+        assert scenario.sim_seed == 361304935
+        assert small_scenario(seed=9, policy="ls").sim_seed == 1058119354
+        assert scenario.order_seed(0) == 656881186
+        assert scenario.order_seed(1) == 814684848
+
+    def test_only_the_sim_seed_depends_on_the_policy(self):
+        polar = small_scenario(seed=9, policy="polar")
+        ls = small_scenario(seed=9, policy="ls")
+        assert polar.sim_seed != ls.sim_seed
+        assert polar.fleet_seed == ls.fleet_seed
+        assert polar.dataset_seed == ls.dataset_seed
+        assert [polar.order_seed(d) for d in range(3)] == [ls.order_seed(d) for d in range(3)]
+        assert len({polar.order_seed(d) for d in range(3)}) == 3
 
     def test_fleets_identical_across_policies(self):
         """POLAR and LS compare on the same spawned fleet (structural seeds)."""
@@ -268,7 +276,7 @@ class TestLifecycleScenarios:
         assert bundle.total_order_count == sum(
             len(day) for day in bundle.orders_per_day
         )
-        assert bundle.simulator().minutes_per_slot == 30.0
+        assert bundle.engine().minutes_per_slot == 30.0
 
     def test_two_day_streams_are_deterministic_and_distinct(self):
         """Per-day order streams replay identically and differ across days.

@@ -320,9 +320,7 @@ def test_module_summary_round_trips_through_pickle():
                 return np.random.default_rng(3).normal() + rng.normal()
         """
     )
-    context = ModuleContext(
-        path=ENGINE_PATH, source=source, lines=tuple(source.splitlines())
-    )
+    context = ModuleContext(path=ENGINE_PATH)
     summary = summarize_module(ast.parse(source), context)
     (fn,) = summary.functions
     assert fn.qualname == "repro.dispatch.module_under_test.Sampler.draw"
@@ -334,7 +332,7 @@ def test_module_summary_round_trips_through_pickle():
 def test_project_index_is_independent_of_summary_order():
     def summary(path, source):
         source = dedent(source)
-        context = ModuleContext(path=path, source=source, lines=tuple(source.splitlines()))
+        context = ModuleContext(path=path)
         return summarize_module(ast.parse(source), context)
 
     alpha = summary(

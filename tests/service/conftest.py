@@ -9,7 +9,7 @@ test from it.
 import pytest
 
 from repro.dispatch.scenarios import DispatchScenario, build_scenario_bundle
-from repro.utils.rng import default_rng, seed_for
+from repro.utils.rng import default_rng
 
 
 @pytest.fixture(scope="session")
@@ -32,11 +32,6 @@ def bundle(scenario):
 @pytest.fixture()
 def sim_rng(scenario):
     def make():
-        return default_rng(
-            seed_for(
-                f"dispatch-scenario/{scenario.city}/{scenario.policy}/sim",
-                scenario.seed,
-            )
-        )
+        return default_rng(scenario.sim_seed)
 
     return make

@@ -26,7 +26,6 @@ def payloads(bundle):
 def held_service(scenario, bundle, max_pending, **overrides):
     config = ServiceConfig(
         scenario=scenario,
-        cadence_seconds=0.01,
         max_pending=max_pending,
         fault_plan=FaultPlan(hold_start=True),
         **overrides,
@@ -86,7 +85,6 @@ class TestBoundedAdmission:
     def test_unbounded_by_default(self, scenario, bundle, payloads):
         config = ServiceConfig(
             scenario=scenario,
-            cadence_seconds=0.01,
             fault_plan=FaultPlan(hold_start=True),
         )
         service = DispatchService(config, bundle=bundle).start()

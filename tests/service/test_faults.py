@@ -23,7 +23,6 @@ def payloads(bundle):
 
 
 def make_service(scenario, bundle, **overrides):
-    overrides.setdefault("cadence_seconds", 0.01)
     config = ServiceConfig(scenario=scenario, **overrides)
     return DispatchService(config, bundle=bundle)
 

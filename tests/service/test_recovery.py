@@ -31,7 +31,6 @@ def crash_service(scenario, bundle, payloads, log_path, crash_batch, mid_append=
         scenario=scenario,
         ingest_log=str(log_path),
         max_batch=8,
-        cadence_seconds=0.01,
         fault_plan=plan,
     )
     service = DispatchService(config, bundle=bundle).start()
@@ -66,7 +65,6 @@ class TestKillMidRunBitIdentity:
                 scenario=scenario,
                 ingest_log=str(oracle_log),
                 max_batch=8,
-                cadence_seconds=0.01,
             ),
             bundle=bundle,
         ).start()
@@ -82,7 +80,7 @@ class TestKillMidRunBitIdentity:
         assert len(contents.records) == 3 * 8  # exact batch-aligned prefix
 
         recovered = DispatchService.recover(
-            log, bundle=bundle, max_batch=8, cadence_seconds=0.01
+            log, bundle=bundle, max_batch=8
         )
         assert recovered.recovered_orders == 24
         assert recovered.recovered_truncated == mid_append
@@ -110,7 +108,7 @@ class TestKillMidRunBitIdentity:
     ):
         log = tmp_path / "early.jsonl"
         crash_service(scenario, bundle, payloads, log, crash_batch=0)
-        recovered = DispatchService.recover(log, bundle=bundle, cadence_seconds=0.01)
+        recovered = DispatchService.recover(log, bundle=bundle)
         assert recovered.recovered_orders == 0
         for payload in payloads:
             recovered.submit(payload)
@@ -123,7 +121,7 @@ class TestKillMidRunBitIdentity:
     ):
         log = tmp_path / "ids.jsonl"
         crash_service(scenario, bundle, payloads, log, crash_batch=2)
-        recovered = DispatchService.recover(log, bundle=bundle, cadence_seconds=0.01)
+        recovered = DispatchService.recover(log, bundle=bundle)
         first = recovered.submit(payloads[recovered.recovered_orders])
         assert first == {"order_id": recovered.recovered_orders}
         recovered.drain()
@@ -137,7 +135,7 @@ class TestKillMidRunBitIdentity:
         crash_service(scenario, bundle, payloads, log, crash_batch=3)
         cap = len(read_ingest_log(log).records)
         recovered = DispatchService.recover(
-            log, bundle=bundle, cadence_seconds=0.01, max_pending=cap
+            log, bundle=bundle, max_pending=cap
         )
         assert recovered.recovered_orders == cap
         assert recovered.stats()["pending"] < cap
@@ -151,7 +149,7 @@ class TestKillMidRunBitIdentity:
     ):
         log = tmp_path / "wm.jsonl"
         crash_service(scenario, bundle, payloads, log, crash_batch=2)
-        recovered = DispatchService.recover(log, bundle=bundle, cadence_seconds=0.01)
+        recovered = DispatchService.recover(log, bundle=bundle)
         from repro.service import AdmissionError
 
         with pytest.raises(AdmissionError, match="behind the admitted watermark"):
@@ -176,7 +174,6 @@ class TestTruncatedLogReader:
             scenario=scenario,
             ingest_log=str(log_path),
             max_batch=8,
-            cadence_seconds=0.01,
         )
         service = DispatchService(config, bundle=bundle).start()
         for payload in payloads:
@@ -261,7 +258,6 @@ class TestTruncatedLogReader:
         config = ServiceConfig(
             scenario=scenario,
             ingest_log=str(log),
-            cadence_seconds=0.01,
             fsync_ingest=True,
         )
         service = DispatchService(config, bundle=bundle).start()

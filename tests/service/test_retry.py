@@ -90,7 +90,6 @@ class TestDroppedConnections:
         plan = FaultPlan(drop_first_requests=2, hold_start=True)
         config = ServiceConfig(
             scenario=scenario,
-            cadence_seconds=0.01,
             ingest_log=str(log),
             fault_plan=plan,
         )
@@ -116,7 +115,7 @@ class TestDroppedConnections:
     def test_unretried_client_surfaces_the_drop(self, scenario, bundle, payloads):
         plan = FaultPlan(drop_first_requests=1, hold_start=True)
         config = ServiceConfig(
-            scenario=scenario, cadence_seconds=0.01, fault_plan=plan
+            scenario=scenario, fault_plan=plan
         )
         service = DispatchService(config, bundle=bundle).start()
         server = serve_http(service, port=0)

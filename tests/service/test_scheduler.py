@@ -74,21 +74,14 @@ class TestAdmissionScheduler:
         assert taken == ids  # strict admission order across the split
         assert scheduler.max_staged == 10
 
-    def test_take_times_out_empty_then_returns_batch(self):
-        scheduler = AdmissionScheduler()
-        assert scheduler.take(timeout=0.01) == []
-        scheduler.submit(order_payload())
-        batch = scheduler.take(timeout=0.01)
-        assert len(batch) == 1
-
     def test_submit_wakes_blocked_take_immediately(self):
         scheduler = AdmissionScheduler()
         result = {}
 
         def taker():
-            result["batch"] = scheduler.take(timeout=30.0)
+            result["batch"] = scheduler.take()
 
-        thread = threading.Thread(target=taker)
+        thread = threading.Thread(target=taker, daemon=True)
         thread.start()
         scheduler.submit(order_payload())
         thread.join(timeout=5.0)
@@ -120,16 +113,16 @@ class TestAdmissionScheduler:
             scheduler.submit(order_payload(arrival=484.0))
         assert len(scheduler.take()) == 2
         assert len(scheduler.take()) == 1
-        assert scheduler.take(timeout=0.01) is None
+        assert scheduler.take() is None
 
     def test_close_wakes_blocked_take(self):
         scheduler = AdmissionScheduler()
         result = {}
 
         def taker():
-            result["batch"] = scheduler.take(timeout=30.0)
+            result["batch"] = scheduler.take()
 
-        thread = threading.Thread(target=taker)
+        thread = threading.Thread(target=taker, daemon=True)
         thread.start()
         scheduler.close()
         thread.join(timeout=5.0)
@@ -139,14 +132,14 @@ class TestAdmissionScheduler:
 
 class TestBackpressureAndResume:
     def test_shed_once_pool_reaches_cap(self):
-        from repro.service.scheduler import BackpressureError
+        from repro.service.scheduler import RETRY_AFTER_SECONDS, BackpressureError
 
-        scheduler = AdmissionScheduler(max_pending=2, retry_after=0.25)
+        scheduler = AdmissionScheduler(max_pending=2)
         scheduler.submit(order_payload(arrival=480.0))
         scheduler.submit(order_payload(arrival=481.0))
         with pytest.raises(BackpressureError, match="pending pool is full") as info:
             scheduler.submit(order_payload(arrival=482.0))
-        assert info.value.retry_after == 0.25
+        assert info.value.retry_after == RETRY_AFTER_SECONDS
         assert scheduler.shed == 1
         # A resolution frees one slot and admission resumes.
         scheduler.set_resolved(1)
@@ -238,7 +231,7 @@ class TestCloseSubmitRace:
             # Every admitted order is takeable exactly once after the close.
             drained = 0
             while True:
-                batch = scheduler.take(timeout=0.01)
+                batch = scheduler.take()
                 if not batch:
                     break
                 drained += len(batch)

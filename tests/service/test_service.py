@@ -1,4 +1,4 @@
-"""DispatchService lifecycle: adaptive cadence, drain semantics, HTTP API."""
+"""DispatchService lifecycle: idle wakeup, drain semantics, HTTP API."""
 
 import dataclasses
 import threading
@@ -53,12 +53,10 @@ class TestServiceLifecycle:
         with pytest.raises(AdmissionError, match="draining"):
             service.submit(payloads[50])
 
-    def test_idle_tick_then_immediate_match_on_arrival(
-        self, scenario, bundle, payloads
-    ):
-        # Park the loop on a cadence far longer than the test: the arrival
-        # must be processed via the condition-variable wakeup, not the tick.
-        service = make_service(scenario, bundle, cadence_seconds=5.0).start()
+    def test_arrival_wakes_an_idle_loop(self, scenario, bundle, payloads):
+        # The idle loop blocks in take() with no timeout: only the
+        # condition-variable wakeup on submit can process the arrival.
+        service = make_service(scenario, bundle).start()
         time.sleep(0.2)  # let the loop reach its idle wait
         service.submit(payloads[0])
         deadline = time.perf_counter() + 2.0
@@ -128,8 +126,6 @@ class TestServiceLifecycle:
     def test_config_validation(self, scenario):
         with pytest.raises(ValueError, match="max_batch"):
             ServiceConfig(scenario=scenario, max_batch=0)
-        with pytest.raises(ValueError, match="cadence"):
-            ServiceConfig(scenario=scenario, cadence_seconds=0.0)
 
     def test_double_start_rejected(self, scenario, bundle):
         service = make_service(scenario, bundle).start()
@@ -150,7 +146,7 @@ class TestBoundedOrderState:
             for _ in range(80)
         ]
         late = next(payload for payload in payloads if payload["slot"] == 17)
-        service = make_service(scenario, bundle, cadence_seconds=0.01).start()
+        service = make_service(scenario, bundle).start()
         for payload in crowd + [late]:
             service.submit(payload)
         deadline = time.perf_counter() + 10.0
