@@ -217,8 +217,10 @@ class ArrayPolicy(Protocol):
 class VectorizedAssignmentEngine:
     """Runs one dispatch policy over array state, slot by slot.
 
-    Parameters mirror :class:`~repro.dispatch.simulator.TaskAssignmentSimulator`;
-    the simulator instantiates this engine when ``engine="vector"``.
+    The production engine; parameters mirror the scalar oracle
+    :class:`~repro.dispatch.simulator.TaskAssignmentSimulator`, which it
+    reproduces bit for bit.  A scenario's engine comes from
+    :meth:`~repro.dispatch.scenarios.ScenarioBundle.engine`.
 
     ``"auto"`` (default) picks the matching pipeline per batch on
     :data:`SPARSE_AUTO_THRESHOLD`; ``sparse="never"`` (always dense, the

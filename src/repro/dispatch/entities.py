@@ -313,18 +313,21 @@ class FleetArrays:
             online_until=np.array([d.online_until for d in drivers], dtype=float),
         )
 
-    def write_back(self, drivers: Sequence[Driver]) -> None:
-        """Copy the array state back onto the original :class:`Driver` objects."""
-        if len(drivers) != len(self):
-            raise ValueError("driver count mismatch")
-        for i, driver in enumerate(drivers):
-            driver.x = float(self.x[i])
-            driver.y = float(self.y[i])
-            driver.available_at = float(self.available_at[i])
-            driver.served_orders = int(self.served_orders[i])
-            driver.earned_revenue = float(self.earned_revenue[i])
-            driver.online_from = float(self.online_from[i])
-            driver.online_until = float(self.online_until[i])
+    def to_drivers(self) -> List[Driver]:
+        """Materialise :class:`Driver` objects (the scalar engine's input)."""
+        return [
+            Driver(
+                driver_id=int(self.driver_id[i]),
+                x=float(self.x[i]),
+                y=float(self.y[i]),
+                available_at=float(self.available_at[i]),
+                served_orders=int(self.served_orders[i]),
+                earned_revenue=float(self.earned_revenue[i]),
+                online_from=float(self.online_from[i]),
+                online_until=float(self.online_until[i]),
+            )
+            for i in range(len(self))
+        ]
 
     @property
     def has_shifts(self) -> bool:

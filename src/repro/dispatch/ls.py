@@ -208,20 +208,6 @@ class LSDispatcher:
         weight = revenue[:, None] - self.pickup_cost_per_km * distance
         return max_weight_pairs(weight, feasible, min_weight=0.0)
 
-    def match_single_order(self, distance: np.ndarray, revenue: float) -> int:
-        """Star-component fast path: best driver for one order, or ``-1``.
-
-        On a fully-feasible ``1 x k`` block the maximum-weight matching is
-        the maximum-net-revenue driver (ties to the smallest index, exactly
-        :func:`scipy.optimize.linear_sum_assignment`'s tie-break), subject to
-        the ``min_weight=0`` profitability floor.
-        """
-        weight = revenue - self.pickup_cost_per_km * distance
-        best = int(np.argmax(weight))
-        if weight[best] < 0.0:
-            return -1
-        return best
-
     def match_single_orders(
         self,
         distance: np.ndarray,
@@ -229,12 +215,13 @@ class LSDispatcher:
         starts: np.ndarray,
         revenue: np.ndarray,
     ) -> np.ndarray:
-        """Batched :meth:`match_single_order` over many one-order stars.
+        """Star-component fast path: :meth:`match_pairs` on many one-order stars.
 
         ``distance``/``cols`` hold the stars' edges back to back, star ``i``
         starting at ``starts[i]`` with revenue ``revenue[i]``.  Returns, per
         star, the index of its chosen edge — maximum net revenue, exact ties
-        to the smallest column — or ``-1`` below the profitability floor.
+        to the smallest column (:func:`scipy.optimize.linear_sum_assignment`'s
+        tie-break) — or ``-1`` below the ``min_weight=0`` profitability floor.
         """
         lengths = np.diff(np.append(starts, distance.size))
         weight = np.repeat(revenue, lengths) - self.pickup_cost_per_km * distance

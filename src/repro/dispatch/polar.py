@@ -223,20 +223,6 @@ class POLARDispatcher:
             return min_cost_pairs(distance, feasible, max_cost=self.max_reposition_km * 10)
         return greedy_pairs_masked(distance, feasible, max_cost=self.max_reposition_km * 10)
 
-    def match_single_order(self, distance: np.ndarray, revenue: float) -> int:
-        """Star-component fast path: best driver for one order, or ``-1``.
-
-        Both POLAR solvers reduce to the same rule on a fully-feasible
-        ``1 x k`` block: the minimum-distance driver within the cost cut-off,
-        ties to the smallest index — exactly
-        :func:`scipy.optimize.linear_sum_assignment`'s (and the greedy
-        scan's) tie-break on that block.
-        """
-        best = int(np.argmin(distance))
-        if distance[best] > self.max_reposition_km * 10:
-            return -1
-        return best
-
     def match_single_orders(
         self,
         distance: np.ndarray,
@@ -244,13 +230,15 @@ class POLARDispatcher:
         starts: np.ndarray,
         revenue: np.ndarray,
     ) -> np.ndarray:
-        """Batched :meth:`match_single_order` over many one-order stars.
+        """Star-component fast path: :meth:`match_pairs` on many one-order stars.
 
         ``distance``/``cols`` hold the stars' edges back to back, star ``i``
         starting at ``starts[i]``; ``revenue`` has one entry per star (unused
         by the served-orders objective).  Returns, per star, the index of its
         chosen edge — minimum distance, exact ties to the smallest column —
-        or ``-1`` beyond the cost cut-off.
+        or ``-1`` beyond the cost cut-off.  Both POLAR solvers reduce to this
+        rule on a one-order block, as does
+        :func:`scipy.optimize.linear_sum_assignment`'s tie-break.
         """
         best = segmented_argbest(distance, cols, starts)
         return np.where(distance[best] > self.max_reposition_km * 10, -1, best)

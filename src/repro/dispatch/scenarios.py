@@ -442,34 +442,16 @@ class ScenarioBundle:
             )
         if engine != "scalar":
             raise ValueError("engine must be 'vector' or 'scalar'")
-        fleet = self.spawn_fleet()
         oracle = TaskAssignmentSimulator(
             policy=self.scenario.make_policy(),
             travel=self.travel,
             demand=self.provider,
             batch_minutes=self.scenario.batch_minutes,
             seed=self.scenario.sim_seed,
-            engine="scalar",
             minutes_per_slot=self.minutes_per_slot,
         )
-        drivers = [_driver_from_arrays(fleet, i) for i in range(len(fleet))]
         orders = [day_orders.to_orders() for day_orders in self.orders_per_day]
-        return oracle.run(orders, drivers, slots=self.slots)
-
-
-def _driver_from_arrays(fleet: FleetArrays, index: int):
-    from repro.dispatch.entities import Driver
-
-    return Driver(
-        driver_id=int(fleet.driver_id[index]),
-        x=float(fleet.x[index]),
-        y=float(fleet.y[index]),
-        available_at=float(fleet.available_at[index]),
-        served_orders=int(fleet.served_orders[index]),
-        earned_revenue=float(fleet.earned_revenue[index]),
-        online_from=float(fleet.online_from[index]),
-        online_until=float(fleet.online_until[index]),
-    )
+        return oracle.run(orders, self.spawn_fleet().to_drivers(), slots=self.slots)
 
 
 def build_scenario_dataset(scenario: DispatchScenario) -> EventDataset:

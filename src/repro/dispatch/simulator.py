@@ -1,4 +1,4 @@
-"""Discrete-time task-assignment simulator.
+"""Discrete-time task-assignment simulator: the scalar reference oracle.
 
 The simulator advances slot by slot over a test horizon.  At the start of each
 slot the dispatcher may *reposition* idle drivers using the predicted HGrid
@@ -7,19 +7,22 @@ the slot, orders arrive in small time batches and the dispatcher assigns idle
 drivers to them under a maximum-wait constraint.  Orders that cannot be picked
 up in time are lost.
 
-The same engine drives both POLAR and LS; they differ only in their
+The same loop drives both POLAR and LS; they differ only in their
 :class:`AssignmentPolicy` (how they reposition and which matching objective
 they use).
 
-Two interchangeable engines execute the loop:
+Two engines execute this loop:
 
-* ``engine="vector"`` (default) — the struct-of-arrays engine in
-  :mod:`repro.dispatch.engine`, which runs the per-minute steps as batched
-  array passes.
-* ``engine="scalar"`` — the original per-``Driver``/``Order`` object loop,
-  kept verbatim as the reference oracle; the equivalence tests assert the
-  vectorized engine reproduces its :class:`DispatchMetrics` bit for bit under
-  the same seed (see the RNG draw-order notes in :mod:`repro.dispatch.engine`).
+* :class:`TaskAssignmentSimulator` — the per-``Driver``/``Order`` object
+  loop in this module, kept as the reference oracle.
+* :class:`~repro.dispatch.engine.VectorizedAssignmentEngine` — the
+  production struct-of-arrays engine, which runs the per-minute steps as
+  batched array passes; :meth:`~repro.dispatch.scenarios.ScenarioBundle.engine`
+  builds it for a scenario.
+
+The equivalence tests assert the vectorized engine reproduces the oracle's
+:class:`DispatchMetrics` and final fleet state bit for bit under the same
+seed (see the RNG draw-order notes in :mod:`repro.dispatch.engine`).
 """
 
 from __future__ import annotations
@@ -30,12 +33,7 @@ from typing import List, Optional, Protocol, Sequence, Tuple, Union
 import numpy as np
 
 from repro.dispatch.demand import PredictedDemandProvider
-from repro.dispatch.engine import (
-    SPARSE_AUTO_THRESHOLD,
-    SPARSE_MODES,
-    VectorizedAssignmentEngine,
-    infer_minutes_per_slot,
-)
+from repro.dispatch.engine import infer_minutes_per_slot
 from repro.dispatch.entities import (
     DAY_MINUTES,
     DispatchMetrics,
@@ -76,45 +74,12 @@ class AssignmentPolicy(Protocol):
         ...
 
 
-def spawn_drivers(
-    count: int,
-    rng: np.random.Generator,
-    demand_grid: Optional[np.ndarray] = None,
-) -> List[Driver]:
-    """Create ``count`` drivers, placed proportionally to ``demand_grid`` if given."""
-    if count <= 0:
-        raise ValueError("driver count must be positive")
-    if demand_grid is None:
-        xs = rng.random(count)
-        ys = rng.random(count)
-    else:
-        demand_grid = np.asarray(demand_grid, dtype=float)
-        resolution = demand_grid.shape[0]
-        probabilities = demand_grid.ravel()
-        total = probabilities.sum()
-        if total <= 0:
-            probabilities = np.full(probabilities.size, 1.0 / probabilities.size)
-        else:
-            probabilities = probabilities / total
-        cells = rng.choice(probabilities.size, size=count, p=probabilities)
-        rows, cols = np.divmod(cells, resolution)
-        xs = (cols + rng.random(count)) / resolution
-        ys = (rows + rng.random(count)) / resolution
-    return [Driver(driver_id=i, x=float(xs[i]), y=float(ys[i])) for i in range(count)]
-
-
 def spawn_fleet(
     count: int,
     rng: np.random.Generator,
     demand_grid: Optional[np.ndarray] = None,
 ) -> FleetArrays:
-    """Array-native :func:`spawn_drivers`: same draws, no ``Driver`` objects.
-
-    Consumes the RNG identically to :func:`spawn_drivers` (whose position
-    draws were already array calls), so
-    ``FleetArrays.from_drivers(spawn_drivers(n, rng))`` and
-    ``spawn_fleet(n, rng)`` are bit-identical for equal generator states.
-    """
+    """Create ``count`` drivers, placed proportionally to ``demand_grid`` if given."""
     if count <= 0:
         raise ValueError("driver count must be positive")
     if demand_grid is None:
@@ -143,9 +108,18 @@ def spawn_fleet(
     )
 
 
+def spawn_drivers(
+    count: int,
+    rng: np.random.Generator,
+    demand_grid: Optional[np.ndarray] = None,
+) -> List[Driver]:
+    """:func:`spawn_fleet` as :class:`Driver` objects, the scalar oracle's input."""
+    return spawn_fleet(count, rng, demand_grid).to_drivers()
+
+
 @dataclass
 class TaskAssignmentSimulator:
-    """Runs one dispatch policy over a stream of orders.
+    """Runs one dispatch policy over a stream of orders, object by object.
 
     Parameters
     ----------
@@ -168,21 +142,6 @@ class TaskAssignmentSimulator:
         know the dataset's slot configuration — scenario bundles do — should
         pass it explicitly, which sizes offset slot windows (e.g. replaying
         only the evening slots) exactly.
-    engine:
-        ``"vector"`` (default) runs the struct-of-arrays engine, which needs
-        a policy with the array kernels (POLAR and LS have them);
-        ``"scalar"`` forces the original per-object loop.
-    sparse:
-        The vectorized engine's oracle seam (see
-        :class:`~repro.dispatch.engine.VectorizedAssignmentEngine`):
-        ``"auto"`` (default) lets the engine pick dense or sparse matching
-        per batch, ``"always"``/``"never"`` force one pipeline for the
-        equivalence tests and the fuzzer; ignored by the scalar engine.
-    sparse_threshold:
-        Batch size (``pending * idle`` cells) at which ``sparse="auto"``
-        switches to the sparse pipeline (default
-        :data:`~repro.dispatch.engine.SPARSE_AUTO_THRESHOLD`); the
-        differential fuzzer lowers it so micro worlds exercise the auto seam.
     """
 
     policy: AssignmentPolicy
@@ -191,9 +150,6 @@ class TaskAssignmentSimulator:
     batch_minutes: float = 2.0
     unserved_penalty_km: float = 5.0
     seed: RandomState = None
-    engine: str = "vector"
-    sparse: str = "auto"
-    sparse_threshold: int = SPARSE_AUTO_THRESHOLD
     minutes_per_slot: Optional[float] = None
     _rng: np.random.Generator = field(init=False, repr=False)
 
@@ -202,129 +158,46 @@ class TaskAssignmentSimulator:
             raise ValueError("batch_minutes must be positive")
         if self.unserved_penalty_km < 0:
             raise ValueError("unserved_penalty_km must be non-negative")
-        if self.engine not in ("vector", "scalar"):
-            raise ValueError("engine must be 'vector' or 'scalar'")
-        if self.sparse not in SPARSE_MODES:
-            raise ValueError(f"sparse must be one of {SPARSE_MODES}")
-        if self.sparse_threshold < 0:
-            raise ValueError("sparse_threshold must be non-negative")
         if self.minutes_per_slot is not None and self.minutes_per_slot <= 0:
             raise ValueError("minutes_per_slot must be positive")
         self._rng = default_rng(self.seed)
 
     def run(
         self,
-        orders: Union[
-            Sequence[Order], OrderArrays, Sequence[OrderArrays], Sequence[Sequence[Order]]
-        ],
-        drivers: Union[Sequence[Driver], FleetArrays],
+        orders: Union[Sequence[Order], Sequence[Sequence[Order]]],
+        drivers: Sequence[Driver],
         day: int = 0,
         slots: Optional[Sequence[int]] = None,
         days: Optional[int] = None,
     ) -> DispatchMetrics:
-        """Simulate the assignment of ``orders`` to ``drivers``.
+        """Simulate the assignment of ``orders`` to ``drivers`` (mutated in place).
 
         ``slots`` restricts the horizon; by default it is derived from the
-        orders themselves.  ``orders``/``drivers`` may be given either as
-        entity sequences or directly as struct-of-arrays state
-        (:class:`OrderArrays` / :class:`FleetArrays`); array fleets are
-        mutated in place, driver objects receive the final state via
-        write-back.
+        orders themselves.
 
         Multi-day replay: ``orders`` may be a sequence of per-day streams
-        (one :class:`OrderArrays` or one ``Sequence[Order]`` per day, each
-        with day-relative arrival minutes); ``days`` optionally asserts the
-        expected length.  Day ``d`` runs ``d * DAY_MINUTES`` later on the
-        absolute clock, queries the demand provider for day ``day + d``, and
-        fleet state — positions, ``available_at``, per-driver statistics —
-        carries across the day boundary.
+        (one ``Sequence[Order]`` per day, each with day-relative arrival
+        minutes); ``days`` optionally asserts the expected length.  Day ``d``
+        runs ``d * DAY_MINUTES`` later on the absolute clock, queries the
+        demand provider for day ``day + d``, and driver state — positions,
+        ``available_at``, per-driver statistics — carries across the day
+        boundary.  ``OrderArrays``/``FleetArrays`` raise :class:`TypeError`:
+        they are :class:`VectorizedAssignmentEngine` inputs.
         """
-        if not isinstance(orders, OrderArrays):
-            orders = list(orders)
-        per_day = self._per_day_streams(orders)
-        if days is not None and per_day is not None and days != len(per_day):
-            raise ValueError(
-                f"days={days} but {len(per_day)} per-day order stream(s) given"
+        if isinstance(orders, OrderArrays) or isinstance(drivers, FleetArrays):
+            raise TypeError(
+                "TaskAssignmentSimulator runs Order/Driver objects; "
+                "run OrderArrays/FleetArrays with VectorizedAssignmentEngine"
             )
-        if days is not None and per_day is None and days != 1:
-            raise ValueError("days > 1 requires one order stream per day")
-        if self.engine == "vector":
-            return self._run_vector(orders, per_day, drivers, day=day, slots=slots)
-        if isinstance(drivers, FleetArrays):
-            raise ValueError("FleetArrays input requires the vectorized engine")
-        if per_day is None:
-            per_day = [orders]
-        scalar_days: List[List[Order]] = [
-            list(day_orders.to_orders())
-            if isinstance(day_orders, OrderArrays)
-            else list(day_orders)
-            for day_orders in per_day
-        ]
-        return self._run_scalar(scalar_days, drivers, day=day, slots=slots)
-
-    @staticmethod
-    def _per_day_streams(orders) -> Optional[List]:
-        """``orders`` as a list of per-day streams, or ``None`` if single-day."""
-        if isinstance(orders, OrderArrays):
-            return None
-        if orders and isinstance(orders[0], (OrderArrays, list, tuple)):
-            return list(orders)
-        return None
-
-    def _run_vector(
-        self,
-        orders,
-        per_day: Optional[List],
-        drivers: Union[Sequence[Driver], FleetArrays],
-        day: int = 0,
-        slots: Optional[Sequence[int]] = None,
-    ) -> DispatchMetrics:
-        if per_day is not None:
-            day_arrays = [
-                day_orders
-                if isinstance(day_orders, OrderArrays)
-                else OrderArrays.from_orders(day_orders)
-                for day_orders in per_day
-            ]
-            engine_orders: Union[OrderArrays, List[OrderArrays]] = day_arrays
-            total = sum(len(a) for a in day_arrays)
+        orders = list(orders)
+        if orders and isinstance(orders[0], (list, tuple)):
+            orders_per_day: List[List[Order]] = [list(day_orders) for day_orders in orders]
         else:
-            if not isinstance(orders, OrderArrays):
-                orders = OrderArrays.from_orders(orders)
-            engine_orders = orders
-            total = len(orders)
-        if total == 0:
-            return DispatchMetrics(0, 0, 0.0, 0.0, 0.0, 0)
-        driver_objects: Optional[List[Driver]] = None
-        if isinstance(drivers, FleetArrays):
-            fleet = drivers
-        else:
-            driver_objects = list(drivers)
-            if not driver_objects:
-                raise ValueError("at least one driver is required")
-            fleet = FleetArrays.from_drivers(driver_objects)
-        engine = VectorizedAssignmentEngine(
-            policy=self.policy,
-            travel=self.travel,
-            demand=self.demand,
-            batch_minutes=self.batch_minutes,
-            unserved_penalty_km=self.unserved_penalty_km,
-            sparse=self.sparse,
-            sparse_threshold=self.sparse_threshold,
-            minutes_per_slot=self.minutes_per_slot,
-        )
-        metrics = engine.run(engine_orders, fleet, self._rng, day=day, slots=slots)
-        if driver_objects is not None:
-            fleet.write_back(driver_objects)
-        return metrics
-
-    def _run_scalar(
-        self,
-        orders_per_day: List[List[Order]],
-        drivers: Sequence[Driver],
-        day: int = 0,
-        slots: Optional[Sequence[int]] = None,
-    ) -> DispatchMetrics:
+            orders_per_day = [orders]
+        if days is not None and days != len(orders_per_day):
+            raise ValueError(
+                f"days={days} but {len(orders_per_day)} per-day order stream(s) given"
+            )
         if sum(len(day_orders) for day_orders in orders_per_day) == 0:
             return DispatchMetrics(0, 0, 0.0, 0.0, 0.0, 0)
         drivers = list(drivers)
@@ -340,7 +213,7 @@ class TaskAssignmentSimulator:
             # draws) — the vectorized engine applies the same rule.
             if not day_orders:
                 continue
-            day_result = self._run_scalar_day(
+            day_result = self._run_day(
                 day_orders, drivers, day + offset, offset * DAY_MINUTES, slots
             )
             served += day_result[0]
@@ -358,7 +231,7 @@ class TaskAssignmentSimulator:
             cancelled_orders=cancelled,
         )
 
-    def _run_scalar_day(
+    def _run_day(
         self,
         orders: List[Order],
         drivers: List[Driver],
@@ -366,7 +239,7 @@ class TaskAssignmentSimulator:
         day_offset: float,
         slots: Optional[Sequence[int]],
     ) -> Tuple[int, int, float, float, int]:
-        """One day of the scalar replay; returns (served, cancelled, revenue, km, total)."""
+        """One day of the replay; returns (served, cancelled, revenue, km, total)."""
         if slots is None:
             day_slots: Sequence[int] = sorted({order.slot for order in orders})
         else:

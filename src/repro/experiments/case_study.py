@@ -22,10 +22,11 @@ from repro.dispatch.demand import (
     orders_from_events,
     requests_from_events,
 )
-from repro.dispatch.entities import DispatchMetrics
+from repro.dispatch.engine import VectorizedAssignmentEngine
+from repro.dispatch.entities import DispatchMetrics, OrderArrays
 from repro.dispatch.ls import LSDispatcher
 from repro.dispatch.polar import POLARDispatcher
-from repro.dispatch.simulator import TaskAssignmentSimulator, spawn_drivers
+from repro.dispatch.simulator import spawn_fleet
 from repro.dispatch.travel import TravelModel
 from repro.experiments.context import ExperimentContext
 from repro.prediction.oracle import PerfectPredictor
@@ -88,8 +89,10 @@ def run_task_assignment(
     travel = TravelModel.for_city(dataset.city)
     test_events = dataset.test_events()
     base_seed = seed_for(f"case/{city}/{dispatcher}/{model}", config.seed)
-    orders = orders_from_events(
-        test_events, day=0, slots=config.case_study_slots, seed=base_seed
+    orders = OrderArrays.from_orders(
+        orders_from_events(
+            test_events, day=0, slots=config.case_study_slots, seed=base_seed
+        )
     )
     fleet_size = context.fleet_size(city)
     points = []
@@ -102,18 +105,17 @@ def run_task_assignment(
             if provider.has_slot(0, first_slot)
             else None
         )
-        drivers = spawn_drivers(fleet_size, rng, demand_grid=initial_demand)
+        fleet = spawn_fleet(fleet_size, rng, demand_grid=initial_demand)
         policy = POLARDispatcher() if dispatcher == "polar" else LSDispatcher()
         if dispatcher not in ("polar", "ls"):
             raise ValueError(f"unknown dispatcher {dispatcher!r}")
-        simulator = TaskAssignmentSimulator(
-            policy=policy,
-            travel=travel,
-            demand=provider,
-            seed=base_seed + side,
-        )
-        metrics = simulator.run(
-            orders, drivers, day=0, slots=config.case_study_slots
+        engine = VectorizedAssignmentEngine(policy, travel, demand=provider)
+        metrics = engine.run(
+            orders,
+            fleet,
+            default_rng(base_seed + side),
+            day=0,
+            slots=config.case_study_slots,
         )
         points.append(CaseStudyPoint(mgrid_side=side, metrics=metrics))
     return tuple(points)

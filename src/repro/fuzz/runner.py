@@ -4,11 +4,15 @@ The scalar per-object simulator is the bit-exact oracle (see
 ``docs/architecture.md``).  :func:`run_differential` replays a
 :class:`~repro.fuzz.generator.FuzzWorld` on
 
-* the scalar engine (oracle),
-* the vectorized engine with the dense matching pipeline (``sparse="never"``),
-* the vectorized engine with the sparse pipeline forced (``sparse="always"``),
-* the vectorized engine in ``sparse="auto"`` with a micro threshold, so a
-  single run mixes dense and sparse batches across the auto seam,
+* ``scalar`` — :class:`~repro.dispatch.simulator.TaskAssignmentSimulator`
+  (the oracle),
+* ``vector-dense`` — :class:`~repro.dispatch.engine.VectorizedAssignmentEngine`
+  with the dense matching pipeline (``sparse="never"``),
+* ``vector-sparse`` — the same engine with the sparse pipeline forced
+  (``sparse="always"``),
+* ``vector-mixed`` — the same engine in ``sparse="auto"`` with a micro
+  ``sparse_threshold``, so a single run mixes dense and sparse batches
+  across the auto seam,
 
 and compares three things against the oracle, all bit-exact:
 
@@ -59,22 +63,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dispatch.engine import VectorizedAssignmentEngine
 from repro.dispatch.ls import LSDispatcher
 from repro.dispatch.polar import POLARDispatcher
 from repro.dispatch.simulator import TaskAssignmentSimulator
 from repro.fuzz.generator import FuzzWorld
+from repro.utils.rng import default_rng
 
-#: Engine configurations compared against the scalar oracle.  The mixed mode
-#: runs ``sparse="auto"`` with a micro threshold so dense and sparse batches
-#: interleave inside one replay (the auto seam itself is under test).
+#: Engine configurations compared against the scalar oracle; a vector mode's
+#: dict holds its :class:`VectorizedAssignmentEngine` keyword arguments.  The
+#: mixed mode runs ``sparse="auto"`` with a micro threshold so dense and sparse
+#: batches interleave inside one replay (the auto seam itself is under test).
 ENGINE_MODES: Tuple[Tuple[str, Optional[Dict]], ...] = (
     ("scalar", None),
-    ("vector-dense", {"engine": "vector", "sparse": "never"}),
-    ("vector-sparse", {"engine": "vector", "sparse": "always"}),
-    (
-        "vector-mixed",
-        {"engine": "vector", "sparse": "auto", "sparse_threshold": 64},
-    ),
+    ("vector-dense", {"sparse": "never"}),
+    ("vector-sparse", {"sparse": "always"}),
+    ("vector-mixed", {"sparse": "auto", "sparse_threshold": 64}),
 )
 
 #: Modes whose matching goes through the sparse pipeline (candidates for the
@@ -324,17 +328,12 @@ def audit_for_ties(world: FuzzWorld) -> Tuple[int, int]:
     witness required to classify a sparse-vs-dense divergence as benign.
     """
     policy = TieAuditPolicy(build_policy(world.policy), world.policy)
-    sim = TaskAssignmentSimulator(
-        policy=policy,
-        travel=world.build_travel(),
-        demand=world.build_provider(),
-        batch_minutes=world.batch_minutes,
-        seed=world.sim_seed,
-        engine="vector",
-        sparse="never",
-        minutes_per_slot=world.minutes_per_slot,
+    _vector_engine(world, policy, {"sparse": "never"}).run(
+        world.build_order_arrays(),
+        world.build_fleet(),
+        default_rng(world.sim_seed),
+        slots=world.slots,
     )
-    sim.run(world.build_order_arrays(), world.build_fleet(), slots=world.slots)
     return policy.ties, policy.objective_mismatches
 
 
@@ -381,8 +380,21 @@ class DifferentialResult:
         return "divergent" if self.failed else "benign-tie"
 
 
+def _vector_engine(
+    world: FuzzWorld, policy, engine_kwargs: Optional[Dict]
+) -> VectorizedAssignmentEngine:
+    return VectorizedAssignmentEngine(
+        policy=policy,
+        travel=world.build_travel(),
+        demand=world.build_provider(),
+        batch_minutes=world.batch_minutes,
+        minutes_per_slot=world.minutes_per_slot,
+        **(engine_kwargs or {}),
+    )
+
+
 def _run_mode(
-    world: FuzzWorld, mode: str, sim_kwargs: Optional[Dict], bug: Optional[str]
+    world: FuzzWorld, mode: str, engine_kwargs: Optional[Dict], bug: Optional[str]
 ) -> EngineOutcome:
     policy = build_policy(world.policy)
     if mode == "scalar":
@@ -393,7 +405,6 @@ def _run_mode(
             demand=world.build_provider(),
             batch_minutes=world.batch_minutes,
             seed=world.sim_seed,
-            engine="scalar",
             minutes_per_slot=world.minutes_per_slot,
         )
         metrics = sim.run(world.build_orders(), drivers, slots=world.slots)
@@ -406,21 +417,15 @@ def _run_mode(
     fleet = world.build_fleet()
     if bug is not None:
         policy, fleet = BUG_INJECTIONS[bug](policy, fleet)
-    sim = TaskAssignmentSimulator(
-        policy=policy,
-        travel=world.build_travel(),
-        demand=world.build_provider(),
-        batch_minutes=world.batch_minutes,
-        seed=world.sim_seed,
-        minutes_per_slot=world.minutes_per_slot,
-        **(sim_kwargs or {}),
+    rng = default_rng(world.sim_seed)
+    metrics = _vector_engine(world, policy, engine_kwargs).run(
+        world.build_order_arrays(), fleet, rng, slots=world.slots
     )
-    metrics = sim.run(world.build_order_arrays(), fleet, slots=world.slots)
     return EngineOutcome(
         mode=mode,
         metrics=_metrics_tuple(metrics),
         drivers=_fleet_tuple(fleet),
-        rng_position=_rng_position(sim._rng),
+        rng_position=_rng_position(rng),
     )
 
 
@@ -457,8 +462,8 @@ def run_differential(
             f"unknown bug injection {bug!r}; known: {sorted(BUG_INJECTIONS)}"
         )
     result = DifferentialResult(world=world)
-    for mode, sim_kwargs in modes:
-        result.outcomes[mode] = _run_mode(world, mode, sim_kwargs, bug)
+    for mode, engine_kwargs in modes:
+        result.outcomes[mode] = _run_mode(world, mode, engine_kwargs, bug)
     oracle = result.outcomes["scalar"]
     dense = result.outcomes.get("vector-dense")
     dense_matches_oracle = dense is not None and not dense.diff_against(oracle)

@@ -32,8 +32,51 @@ from repro.dispatch.simulator import (
     spawn_fleet,
 )
 from repro.dispatch.travel import TravelModel
+from repro.utils.rng import default_rng
 
 TRAVEL = TravelModel(width_km=9.0, height_km=11.0, speed_kmh=27.0)
+
+FLEET_COLUMNS = (
+    "driver_id",
+    "x",
+    "y",
+    "available_at",
+    "served_orders",
+    "earned_revenue",
+    "online_from",
+    "online_until",
+)
+
+
+def run_vector(policy, travel, orders, drivers, seed, day=0, slots=None, days=None, **engine):
+    """The vector side of an equivalence test, on the scalar oracle's inputs.
+
+    ``orders`` is a list of :class:`Order` (one day) or one list per day and
+    ``drivers`` a list of :class:`Driver`; both are packed into arrays, so the
+    objects stay untouched for the oracle's own run.  ``engine`` holds the
+    remaining :class:`VectorizedAssignmentEngine` arguments; ``seed`` goes
+    through :func:`~repro.utils.rng.default_rng` like the oracle's.  Returns
+    the metrics and the final fleet.
+    """
+    orders = list(orders)
+    if orders and isinstance(orders[0], (list, tuple)):
+        engine_orders = [OrderArrays.from_orders(day_orders) for day_orders in orders]
+    else:
+        engine_orders = OrderArrays.from_orders(orders)
+    fleet = FleetArrays.from_drivers(drivers)
+    metrics = VectorizedAssignmentEngine(policy, travel, **engine).run(
+        engine_orders, fleet, default_rng(seed), day=day, slots=slots, days=days
+    )
+    return metrics, fleet
+
+
+def assert_fleet_matches(drivers, fleet):
+    """``fleet`` holds exactly the final state of the oracle's ``drivers``."""
+    expected = FleetArrays.from_drivers(drivers)
+    for name in FLEET_COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(fleet, name), getattr(expected, name), err_msg=name
+        )
 
 
 def make_orders(rng, count, slots=(16, 17)):
@@ -81,44 +124,34 @@ class TestEngineEquivalence:
         rng = np.random.default_rng(seed)
         orders = make_orders(rng, 60)
         provider = make_provider(rng)
-        results = {}
-        for engine in ("scalar", "vector"):
-            drivers = [
-                Driver(i, float(x), float(y))
-                for i, (x, y) in enumerate(
-                    np.random.default_rng(seed + 1000).random((12, 2))
-                )
-            ]
-            simulator = TaskAssignmentSimulator(
-                make_policy(policy_name),
-                TRAVEL,
-                demand=provider,
-                seed=seed,
-                engine=engine,
-            )
-            results[engine] = (simulator.run(orders, drivers, day=0, slots=[16, 17]), drivers)
-        scalar_metrics, scalar_drivers = results["scalar"]
-        vector_metrics, vector_drivers = results["vector"]
-        assert scalar_metrics == vector_metrics
+        drivers = [
+            Driver(i, float(x), float(y))
+            for i, (x, y) in enumerate(np.random.default_rng(seed + 1000).random((12, 2)))
+        ]
+        vector_metrics, fleet = run_vector(
+            make_policy(policy_name), TRAVEL, orders, drivers, seed,
+            slots=[16, 17], demand=provider,
+        )
+        simulator = TaskAssignmentSimulator(
+            make_policy(policy_name), TRAVEL, demand=provider, seed=seed
+        )
+        assert simulator.run(orders, drivers, day=0, slots=[16, 17]) == vector_metrics
         # The final driver states (position, availability, per-driver stats)
         # must also be identical, not just the aggregate metrics.
-        for sd, vd in zip(scalar_drivers, vector_drivers):
-            assert (sd.x, sd.y, sd.available_at) == (vd.x, vd.y, vd.available_at)
-            assert (sd.served_orders, sd.earned_revenue) == (vd.served_orders, vd.earned_revenue)
+        assert_fleet_matches(drivers, fleet)
 
     @pytest.mark.parametrize("fleet_size", [1, 5, 40])
     def test_metrics_identical_across_fleet_sizes(self, fleet_size):
         rng = np.random.default_rng(99)
         orders = make_orders(rng, 80)
         provider = make_provider(rng)
-        metrics = {}
-        for engine in ("scalar", "vector"):
-            drivers = spawn_drivers(fleet_size, np.random.default_rng(5))
-            simulator = TaskAssignmentSimulator(
-                POLARDispatcher(), TRAVEL, demand=provider, seed=3, engine=engine
-            )
-            metrics[engine] = simulator.run(orders, drivers, day=0, slots=[16, 17])
-        assert metrics["scalar"] == metrics["vector"]
+        drivers = spawn_drivers(fleet_size, np.random.default_rng(5))
+        vector_metrics, fleet = run_vector(
+            POLARDispatcher(), TRAVEL, orders, drivers, 3, slots=[16, 17], demand=provider
+        )
+        simulator = TaskAssignmentSimulator(POLARDispatcher(), TRAVEL, demand=provider, seed=3)
+        assert simulator.run(orders, drivers, day=0, slots=[16, 17]) == vector_metrics
+        assert_fleet_matches(drivers, fleet)
 
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_rng_stream_position_identical(self, policy_name):
@@ -126,61 +159,52 @@ class TestEngineEquivalence:
         rng = np.random.default_rng(11)
         orders = make_orders(rng, 40)
         provider = make_provider(rng)
-        tails = {}
-        for engine in ("scalar", "vector"):
-            stream = np.random.default_rng(123)
-            drivers = spawn_drivers(10, np.random.default_rng(6))
-            simulator = TaskAssignmentSimulator(
-                make_policy(policy_name),
-                TRAVEL,
-                demand=provider,
-                seed=stream,
-                engine=engine,
-            )
-            simulator.run(orders, drivers, day=0, slots=[16, 17])
-            tails[engine] = stream.random(4).tolist()
-        assert tails["scalar"] == tails["vector"]
+        drivers = spawn_drivers(10, np.random.default_rng(6))
+        vector_stream = np.random.default_rng(123)
+        run_vector(
+            make_policy(policy_name), TRAVEL, orders, drivers, vector_stream,
+            slots=[16, 17], demand=provider,
+        )
+        scalar_stream = np.random.default_rng(123)
+        simulator = TaskAssignmentSimulator(
+            make_policy(policy_name), TRAVEL, demand=provider, seed=scalar_stream
+        )
+        simulator.run(orders, drivers, day=0, slots=[16, 17])
+        assert scalar_stream.random(4).tolist() == vector_stream.random(4).tolist()
 
     def test_without_demand_guidance(self):
         rng = np.random.default_rng(21)
         orders = make_orders(rng, 30)
-        metrics = {}
-        for engine in ("scalar", "vector"):
-            drivers = spawn_drivers(8, np.random.default_rng(7))
-            simulator = TaskAssignmentSimulator(
-                LSDispatcher(), TRAVEL, demand=None, seed=1, engine=engine
-            )
-            metrics[engine] = simulator.run(orders, drivers)
-        assert metrics["scalar"] == metrics["vector"]
+        drivers = spawn_drivers(8, np.random.default_rng(7))
+        vector_metrics, fleet = run_vector(LSDispatcher(), TRAVEL, orders, drivers, 1)
+        simulator = TaskAssignmentSimulator(LSDispatcher(), TRAVEL, demand=None, seed=1)
+        assert simulator.run(orders, drivers) == vector_metrics
+        assert_fleet_matches(drivers, fleet)
 
     def test_vector_engine_accepts_arrays_directly(self):
+        # Arrays built straight by spawn_fleet run like the oracle's objects.
         rng = np.random.default_rng(31)
         orders = make_orders(rng, 30)
         provider = make_provider(rng)
         drivers = spawn_drivers(9, np.random.default_rng(8))
-        object_metrics_sim = TaskAssignmentSimulator(
-            POLARDispatcher(), TRAVEL, demand=provider, seed=5, engine="vector"
+        fleet = spawn_fleet(9, np.random.default_rng(8))
+        engine = VectorizedAssignmentEngine(POLARDispatcher(), TRAVEL, demand=provider)
+        array_metrics = engine.run(
+            OrderArrays.from_orders(orders), fleet, default_rng(5), day=0, slots=[16, 17]
         )
-        object_metrics = object_metrics_sim.run(orders, list(drivers), day=0, slots=[16, 17])
-        array_sim = TaskAssignmentSimulator(
-            POLARDispatcher(), TRAVEL, demand=provider, seed=5, engine="vector"
-        )
-        fleet = FleetArrays.from_drivers(spawn_drivers(9, np.random.default_rng(8)))
-        array_metrics = array_sim.run(
-            OrderArrays.from_orders(orders), fleet, day=0, slots=[16, 17]
-        )
-        assert object_metrics == array_metrics
+        simulator = TaskAssignmentSimulator(POLARDispatcher(), TRAVEL, demand=provider, seed=5)
+        assert simulator.run(orders, drivers, day=0, slots=[16, 17]) == array_metrics
+        assert_fleet_matches(drivers, fleet)
 
     def test_scalar_engine_rejects_fleet_arrays(self):
-        fleet = spawn_fleet(3, np.random.default_rng(0))
-        simulator = TaskAssignmentSimulator(POLARDispatcher(), TRAVEL, engine="scalar")
         rng = np.random.default_rng(1)
-        with pytest.raises(ValueError):
-            simulator.run(make_orders(rng, 5), fleet)
-
-    def test_invalid_engine_name(self):
-        with pytest.raises(ValueError):
-            TaskAssignmentSimulator(POLARDispatcher(), TRAVEL, engine="gpu")
+        orders = make_orders(rng, 5)
+        drivers = spawn_drivers(3, np.random.default_rng(0))
+        simulator = TaskAssignmentSimulator(POLARDispatcher(), TRAVEL)
+        with pytest.raises(TypeError, match="VectorizedAssignmentEngine"):
+            simulator.run(orders, FleetArrays.from_drivers(drivers))
+        with pytest.raises(TypeError, match="VectorizedAssignmentEngine"):
+            simulator.run(OrderArrays.from_orders(orders), drivers)
 
     @pytest.mark.parametrize("batch_minutes", [0.0, -2.0, float("nan")])
     def test_engine_rejects_non_positive_batch_minutes(self, batch_minutes):

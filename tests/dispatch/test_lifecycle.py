@@ -26,6 +26,8 @@ from repro.dispatch.polar import POLARDispatcher
 from repro.dispatch.simulator import TaskAssignmentSimulator, spawn_drivers
 from repro.dispatch.travel import TravelModel
 
+from tests.dispatch.test_engine_equivalence import assert_fleet_matches, run_vector
+
 TRAVEL = TravelModel(width_km=9.0, height_km=11.0, speed_kmh=27.0)
 
 POLICIES = ("polar", "polar_greedy", "ls")
@@ -76,32 +78,35 @@ def run_both_engines(
     policy_name, orders, drivers_factory, sparse="auto", slots=None, days=None, **sim_kwargs
 ):
     """Run scalar and vector engines on identical inputs; return both results."""
-    results = {}
-    for engine in ("scalar", "vector"):
-        stream = np.random.default_rng(123)
-        drivers = drivers_factory()
-        simulator = TaskAssignmentSimulator(
-            make_policy(policy_name),
-            TRAVEL,
-            seed=stream,
-            engine=engine,
-            sparse=sparse,
-            **sim_kwargs,
-        )
-        metrics = simulator.run(orders, drivers, day=0, slots=slots, days=days)
-        results[engine] = (metrics, drivers, stream.random(4).tolist())
+    vector_stream = np.random.default_rng(123)
+    metrics, fleet = run_vector(
+        make_policy(policy_name),
+        TRAVEL,
+        orders,
+        drivers_factory(),
+        vector_stream,
+        slots=slots,
+        days=days,
+        sparse=sparse,
+        **sim_kwargs,
+    )
+    results = {"vector": (metrics, fleet, vector_stream.random(4).tolist())}
+    scalar_stream = np.random.default_rng(123)
+    drivers = drivers_factory()
+    simulator = TaskAssignmentSimulator(
+        make_policy(policy_name), TRAVEL, seed=scalar_stream, **sim_kwargs
+    )
+    metrics = simulator.run(orders, drivers, day=0, slots=slots, days=days)
+    results["scalar"] = (metrics, drivers, scalar_stream.random(4).tolist())
     return results
 
 
 def assert_engines_identical(results):
     scalar_metrics, scalar_drivers, scalar_tail = results["scalar"]
-    vector_metrics, vector_drivers, vector_tail = results["vector"]
+    vector_metrics, vector_fleet, vector_tail = results["vector"]
     assert scalar_metrics == vector_metrics
     assert scalar_tail == vector_tail
-    for sd, vd in zip(scalar_drivers, vector_drivers):
-        assert (sd.x, sd.y, sd.available_at) == (vd.x, vd.y, vd.available_at)
-        assert (sd.served_orders, sd.earned_revenue) == (vd.served_orders, vd.earned_revenue)
-        assert (sd.online_from, sd.online_until) == (vd.online_from, vd.online_until)
+    assert_fleet_matches(scalar_drivers, vector_fleet)
     return scalar_metrics
 
 
@@ -159,11 +164,7 @@ class TestFleetArraysLifecycle:
         drivers = shift_fleet(6, 1, [(300.0, 1050.0), (1020.0, 300.0)])
         fleet = FleetArrays.from_drivers(drivers)
         assert fleet.has_shifts
-        clones = [Driver(d.driver_id, 0.0, 0.0) for d in drivers]
-        fleet.write_back(clones)
-        for original, clone in zip(drivers, clones):
-            assert clone.online_from == original.online_from
-            assert clone.online_until == original.online_until
+        assert fleet.to_drivers() == drivers
 
     def test_idle_indices_masks_off_shift_drivers(self):
         drivers = shift_fleet(4, 2, [(0.0, DAY_MINUTES), (600.0, 700.0)])
@@ -268,10 +269,9 @@ class TestOffsetSlotWindowRegression:
         so the un-plumbed replay still serves nothing."""
         orders = self._offset_orders()
         drivers = spawn_drivers(10, np.random.default_rng(5))
-        simulator = TaskAssignmentSimulator(
-            POLARDispatcher(), TRAVEL, seed=1, engine="vector"
+        metrics, _ = run_vector(
+            POLARDispatcher(), TRAVEL, orders, drivers, 1, slots=list(range(40, 48))
         )
-        metrics = simulator.run(orders, drivers, slots=list(range(40, 48)))
         assert metrics.served_orders == 0
 
     def test_inferred_slot_length_matches_thirty_minute_streams(self):
@@ -406,8 +406,8 @@ class TestLifecycleEquivalence:
         # the day-1 order's patience runs out: served day 0, cancelled day 1.
         assert metrics.served_orders == 1
         assert metrics.cancelled_orders == 1
-        (_, drivers, _) = results["vector"]
-        assert drivers[0].available_at > DAY_MINUTES
+        (_, fleet, _) = results["vector"]
+        assert fleet.available_at[0] > DAY_MINUTES
 
     def test_multi_day_total_is_sum_of_days(self):
         rng = np.random.default_rng(24)

@@ -21,7 +21,7 @@ from repro.dispatch.engine import SPARSE_AUTO_THRESHOLD, VectorizedAssignmentEng
 from repro.dispatch.ls import LSDispatcher
 from repro.dispatch.matching import edge_components
 from repro.dispatch.polar import POLARDispatcher
-from repro.dispatch.simulator import TaskAssignmentSimulator, spawn_drivers
+from repro.dispatch.simulator import spawn_drivers
 from repro.dispatch.travel import TravelModel
 
 from tests.dispatch.test_engine_equivalence import (
@@ -29,6 +29,7 @@ from tests.dispatch.test_engine_equivalence import (
     make_orders,
     make_policy,
     make_provider,
+    run_vector,
 )
 
 POLICIES = ("polar", "polar_greedy", "ls")
@@ -227,16 +228,25 @@ class TestMatchSparseEqualsDense:
             assert_sparse_equals_dense(engine, *batch)
 
 
+def single_star(policy, distance, revenue):
+    """``match_single_orders`` on one star whose edges reach columns ``0..k-1``."""
+    chosen = policy.match_single_orders(
+        distance, np.arange(distance.size), np.array([0]), np.array([revenue])
+    )
+    return int(chosen[0])
+
+
 class TestSingleMatchFastPaths:
     def test_polar_single_matches_kernel(self):
         policy = POLARDispatcher()
         distance = np.array([3.0, 1.0, 1.0, 2.0])
         feasible = np.ones((1, 4), dtype=bool)
         rows, cols = policy.match_pairs(distance[None, :], feasible, np.array([5.0]))
-        assert policy.match_single_order(distance, 5.0) == cols[0]
+        # The tie between columns 1 and 2 goes to the smaller, as in match_pairs.
+        assert single_star(policy, distance, 5.0) == cols[0] == 1
         assert policy.match_single_driver(distance, np.full(4, 5.0)) == 1
         # Beyond the cost cut-off nothing matches.
-        assert policy.match_single_order(np.array([1e6]), 5.0) == -1
+        assert single_star(policy, np.array([1e6]), 5.0) == -1
 
     def test_ls_single_matches_kernel(self):
         policy = LSDispatcher()
@@ -246,9 +256,9 @@ class TestSingleMatchFastPaths:
         rows, cols = policy.match_pairs(
             distance[None, :], feasible, np.array([revenue])
         )
-        assert policy.match_single_order(distance, revenue) == cols[0]
+        assert single_star(policy, distance, revenue) == cols[0] == 0
         # Unprofitable orders are left unmatched (min_weight = 0).
-        assert policy.match_single_order(np.array([100.0]), 1.0) == -1
+        assert single_star(policy, np.array([100.0]), 1.0) == -1
         assert policy.match_single_driver(np.array([100.0]), np.array([1.0])) == -1
 
 
@@ -259,44 +269,45 @@ class TestEngineSparseEquivalence:
     # tie-break on the full matrix need not match the per-component solve —
     # the documented caveat in repro.dispatch.matching.  The runs are fully
     # deterministic, so tie-free parameters stay tie-free.
-    def run_simulator(self, policy_name, seed, sparse, fleet=20, orders=70):
+    def run_engine(self, policy_name, seed, sparse, fleet=20, orders=70):
         rng = np.random.default_rng(seed)
         stream = np.random.default_rng(seed + 500)
         order_list = make_orders(rng, orders)
         provider = make_provider(rng)
         drivers = spawn_drivers(fleet, np.random.default_rng(seed + 1000))
-        simulator = TaskAssignmentSimulator(
+        metrics, final = run_vector(
             make_policy(policy_name),
             TRAVEL,
+            order_list,
+            drivers,
+            stream,
+            slots=[16, 17],
             demand=provider,
-            seed=stream,
-            engine="vector",
             sparse=sparse,
         )
-        metrics = simulator.run(order_list, drivers, day=0, slots=[16, 17])
         state = [
-            (d.x, d.y, d.available_at, d.served_orders, d.earned_revenue)
-            for d in drivers
+            getattr(final, name).tolist()
+            for name in ("x", "y", "available_at", "served_orders", "earned_revenue")
         ]
         return metrics, state, stream.random(4).tolist()
 
     @pytest.mark.parametrize("policy_name", POLICIES)
     @pytest.mark.parametrize("seed", range(4))
     def test_sparse_always_replays_dense(self, policy_name, seed):
-        dense = self.run_simulator(policy_name, seed, "never")
-        sparse = self.run_simulator(policy_name, seed, "always")
+        dense = self.run_engine(policy_name, seed, "never")
+        sparse = self.run_engine(policy_name, seed, "always")
         assert dense == sparse
 
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_auto_mode_replays_dense(self, policy_name):
-        dense = self.run_simulator(policy_name, 11, "never")
-        auto = self.run_simulator(policy_name, 11, "auto")
+        dense = self.run_engine(policy_name, 11, "never")
+        auto = self.run_engine(policy_name, 11, "auto")
         assert dense == auto
 
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_single_driver_fleet(self, policy_name):
-        dense = self.run_simulator(policy_name, 3, "never", fleet=1)
-        sparse = self.run_simulator(policy_name, 3, "always", fleet=1)
+        dense = self.run_engine(policy_name, 3, "never", fleet=1)
+        sparse = self.run_engine(policy_name, 3, "always", fleet=1)
         assert dense == sparse
 
     def test_auto_threshold_switches(self):
@@ -311,11 +322,7 @@ class TestEngineSparseEquivalence:
     def test_invalid_sparse_mode(self):
         with pytest.raises(ValueError):
             VectorizedAssignmentEngine(POLARDispatcher(), TRAVEL, sparse="sometimes")
-        with pytest.raises(ValueError):
-            TaskAssignmentSimulator(POLARDispatcher(), TRAVEL, sparse="maybe")
 
     def test_invalid_sparse_parameters_fail_at_construction(self):
         with pytest.raises(ValueError):
             VectorizedAssignmentEngine(POLARDispatcher(), TRAVEL, sparse_threshold=-1)
-        with pytest.raises(ValueError):
-            TaskAssignmentSimulator(POLARDispatcher(), TRAVEL, sparse_threshold=-1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dispatch.entities import DispatchMetrics
 from repro.experiments.case_study import (
     run_route_planning,
     run_task_assignment,
@@ -36,6 +37,42 @@ class TestTaskAssignment:
             run_task_assignment(
                 tiny_context, "xian_like", "taxi_hailing", "deepst", sides=[4]
             )
+
+    def test_metrics_are_pinned(self, tiny_context):
+        # Exact values of the tiny xian_like case study; a change to how the
+        # engine, fleet or RNG of a run is built moves at least one of them.
+        polar = run_task_assignment(
+            tiny_context, "xian_like", "polar", "deepst", sides=[2, 4], surrogate=True
+        )
+        ls = run_task_assignment(
+            tiny_context, "xian_like", "ls", "deepst", sides=[4], surrogate=True
+        )
+        assert [p.metrics for p in polar + ls] == [
+            DispatchMetrics(
+                served_orders=22,
+                total_orders=48,
+                total_revenue=168.04432386464552,
+                total_travel_km=127.55386519514488,
+                unified_cost=257.5538651951449,
+                cancelled_orders=16,
+            ),
+            DispatchMetrics(
+                served_orders=24,
+                total_orders=48,
+                total_revenue=171.87600022272164,
+                total_travel_km=126.94515311091337,
+                unified_cost=246.94515311091337,
+                cancelled_orders=16,
+            ),
+            DispatchMetrics(
+                served_orders=24,
+                total_orders=48,
+                total_revenue=164.43694050757034,
+                total_travel_km=126.86086731016132,
+                unified_cost=246.86086731016132,
+                cancelled_orders=12,
+            ),
+        ]
 
     def test_total_orders_independent_of_side(self, tiny_context):
         points = run_task_assignment(

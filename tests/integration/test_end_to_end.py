@@ -26,6 +26,8 @@ from repro.prediction import (
     surrogate_factory,
 )
 
+from tests.dispatch.test_engine_equivalence import assert_fleet_matches, run_vector
+
 
 class TestFullTuningPipeline:
     def test_quickstart_workflow(self, xian_dataset):
@@ -96,10 +98,14 @@ class TestPredictionToDispatchPipeline:
             max(5, len(orders) // 6), np.random.default_rng(0),
             demand_grid=provider.hgrid_demand(0, 16),
         )
+        metrics, fleet = run_vector(
+            POLARDispatcher(), travel, orders, drivers, 0, slots=[16, 17], demand=provider
+        )
         simulator = TaskAssignmentSimulator(
             POLARDispatcher(), travel, demand=provider, seed=0
         )
-        metrics = simulator.run(orders, drivers, day=0, slots=[16, 17])
+        assert simulator.run(orders, drivers, day=0, slots=[16, 17]) == metrics
+        assert_fleet_matches(drivers, fleet)
         assert metrics.total_orders == len(orders)
         assert 0 < metrics.served_orders <= metrics.total_orders
         assert metrics.total_revenue > 0
